@@ -126,6 +126,11 @@ class Domain {
   /// advancing the epoch (waiting out straggler guards) until all three
   /// limbo lists are empty and no free callback is still running on
   /// another thread. Callers must not hold a Guard.
+  ///
+  /// An empty domain also restarts the advance cadence, so what one owner
+  /// retired before draining cannot shift when the next owner's retires
+  /// trigger an advance (two identical op streams on two fresh Harts in
+  /// one process then free, reuse and persist identically).
   void drain() {
     assert(!pinned_by_me() &&
            "ebr::Domain::drain under a Guard would deadlock the advance");
@@ -133,8 +138,10 @@ class Domain {
       {
         MutexLock lk(limbo_mu_);
         if (limbo_[0].empty() && limbo_[1].empty() && limbo_[2].empty() &&
-            in_flight_.load(std::memory_order_acquire) == 0)
+            in_flight_.load(std::memory_order_acquire) == 0) {
+          retires_since_advance_ = 0;
           return;
+        }
       }
       if (!try_advance()) std::this_thread::yield();
     }

@@ -1,5 +1,6 @@
 #include "hart/hart.h"
 
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cassert>
@@ -406,77 +407,111 @@ common::Status Hart::remove(std::string_view key) {
   return common::Status::kOk;
 }
 
+bool Hart::scan_partition(
+    const HashDir::Partition* part, const art::Key* from, size_t limit,
+    std::vector<std::pair<std::string, std::string>>* out) const {
+  // Leaf pointers in flight between the walk and the emit stage (a ring
+  // indexed by monotonic counters), and how many pushes behind the walk the
+  // value-line prefetch runs. The window bounds the kernel's memory to a
+  // fixed stack array whatever the limit.
+  constexpr size_t kWindow = 16;
+  constexpr size_t kValueLag = 8;
+  std::array<const HartLeaf*, kWindow> win{};
+  size_t head = 0;    // next entry to emit
+  size_t staged = 0;  // next entry whose value line to prefetch
+  size_t tail = 0;    // next free entry
+  bool torn = false;
+
+  // Stage 2: p_value is loaded only to aim a prefetch; the emit stage
+  // re-reads it under the vseq seqlock, so a stale or torn value here
+  // costs nothing but a wasted prefetch.
+  auto stage_value = [&](const HartLeaf* leaf) {
+    const uint64_t pv =
+        std::atomic_ref<uint64_t>(const_cast<HartLeaf*>(leaf)->p_value)
+            .load(std::memory_order_relaxed);
+    if (pv != 0) __builtin_prefetch(arena_.ptr<char>(pv));
+  };
+  // Stage 3: Algorithm 4's checks, writing straight into `out`. Returns
+  // false to stop the walk: `out` is full, or a value read tore.
+  auto emit = [&](const HartLeaf* leaf) {
+    if (!ep_->bit_probe(epalloc::ObjType::kLeaf, arena_.off(leaf)))
+      return true;
+    auto& [key, val] = out->emplace_back();
+    const int vr = read_leaf_value_optimistic(leaf, &val);
+    if (vr <= 0) {
+      out->pop_back();
+      torn = vr < 0;
+      return !torn;  // vr == 0: deleted under us, skip it
+    }
+    key.assign(leaf->key, leaf->key_len);
+    return out->size() < limit;
+  };
+  // Stage 1: the walk pushes each leaf and prefetches its line(s) (a
+  // 40-byte leaf may straddle two). The walk stops on *emitted* entries
+  // only, so a skipped leaf never cuts the partition's share short.
+  auto push = [&](HartLeaf* leaf) {
+    __builtin_prefetch(leaf);
+    __builtin_prefetch(reinterpret_cast<const char*>(leaf) +
+                       sizeof(HartLeaf) - 1);
+    win[tail++ % kWindow] = leaf;
+    if (tail - staged > kValueLag) stage_value(win[staged++ % kWindow]);
+    if (tail - head < kWindow) return true;
+    return emit(win[head++ % kWindow]);
+  };
+
+  const bool walked = from != nullptr ? part->tree.for_each_from(*from, push)
+                                      : part->tree.for_each(push);
+  if (walked) {
+    while (staged < tail) stage_value(win[staged++ % kWindow]);
+    while (head < tail && emit(win[head++ % kWindow])) {
+    }
+  }
+  return !torn;
+}
+
 size_t Hart::range(
     std::string_view lo, size_t limit,
     std::vector<std::pair<std::string, std::string>>* out) const {
   out->clear();
   if (limit == 0 || !common::validate_key(lo).ok()) return 0;
   const uint64_t hlo = pack_hash_key(lo, opts_.hash_key_len);
-
-  auto emit_locked = [&](HartLeaf* leaf) {
-    if (!ep_->bit_probe(epalloc::ObjType::kLeaf, arena_.off(leaf)))
-      return true;
-    const char* vp = arena_.ptr<char>(leaf->p_value);
-    arena_.pm_read(vp, value_object_size(value_class_of(leaf)));
-    out->emplace_back(std::string(leaf->key, leaf->key_len),
-                      std::string(vp, leaf->val_len));
+  const art::Key alo = art_key(lo);
+  // The first partition starts at lo; every later one from its first key.
+  auto from_of = [&](const HashDir::Partition* part) {
+    return part->hkey == hlo ? &alo : nullptr;
+  };
+  auto scan_locked = [&](const HashDir::Partition* part) {
+    common::ReaderLock lk(part->mu);
+    scan_partition(part, from_of(part), limit, out);
     return out->size() < limit;
   };
 
   if (!optimistic()) {
-    dir_.for_each_partition_from(hlo, [&](HashDir::Partition* part) {
-      common::ReaderLock lk(part->mu);
-      return part->hkey == hlo
-                 ? part->tree.for_each_from(art_key(lo), emit_locked)
-                 : part->tree.for_each(emit_locked);
-    });
+    dir_.for_each_partition_from(hlo, scan_locked);
     return out->size();
   }
 
-  // Optimistic scan: per partition, walk without the lock, staging entries
-  // aside; the walk is valid iff the partition's mod_version is even and
-  // unchanged across it (no mutator critical section overlapped). A torn
-  // walk is discarded and retried; persistent churn degrades to the
-  // shared-lock walk for that partition only.
+  // Optimistic scan: per partition, run the kernel without the lock; its
+  // entries are valid iff the partition's mod_version is even and
+  // unchanged across the walk (no mutator critical section overlapped). A
+  // torn walk rolls `out` back and retries; persistent churn degrades to
+  // the shared-lock walk for that partition only. One epoch pin covers the
+  // whole scan, so no slot the kernel's window holds can be reused.
   common::ebr::Guard g(common::ebr::Domain::instance());
-  std::vector<std::pair<std::string, std::string>> staging;
   constexpr int kRangeAttempts = 4;
-  dir_.for_each_partition_from(hlo, [&](HashDir::Partition* part) {
-    bool done = false;
-    for (int a = 0; a < kRangeAttempts && !done; ++a) {
+  dir_.for_each_partition_from(hlo, [&](const HashDir::Partition* part) {
+    const size_t base = out->size();
+    for (int a = 0; a < kRangeAttempts; ++a) {
       const uint64_t v0 = part->mod_version.load(std::memory_order_acquire);
       if ((v0 & 1) != 0) continue;  // mutator mid-section; try again
-      staging.clear();
-      bool torn = false;
-      auto emit = [&](HartLeaf* leaf) {
-        if (!ep_->bit_probe(epalloc::ObjType::kLeaf, arena_.off(leaf)))
-          return true;
-        std::string val;
-        const int vr = read_leaf_value_optimistic(leaf, &val);
-        if (vr < 0) {
-          torn = true;
-          return false;
-        }
-        if (vr == 0) return true;  // deleted under us
-        staging.emplace_back(std::string(leaf->key, leaf->key_len),
-                             std::move(val));
-        return out->size() + staging.size() < limit;
-      };
-      part->hkey == hlo ? part->tree.for_each_from(art_key(lo), emit)
-                        : part->tree.for_each(emit);
+      const bool clean = scan_partition(part, from_of(part), limit, out);
       std::atomic_thread_fence(std::memory_order_acquire);
-      if (torn || part->mod_version.load(std::memory_order_relaxed) != v0)
-        continue;
-      for (auto& kv : staging) out->push_back(std::move(kv));
-      done = true;
+      if (clean && part->mod_version.load(std::memory_order_relaxed) == v0)
+        return out->size() < limit;
+      out->resize(base);
     }
-    if (!done) {
-      read_fallback_counter().inc();
-      common::ReaderLock lk(part->mu);
-      part->hkey == hlo ? part->tree.for_each_from(art_key(lo), emit_locked)
-                        : part->tree.for_each(emit_locked);
-    }
-    return out->size() < limit;
+    read_fallback_counter().inc();
+    return scan_locked(part);
   });
   return out->size();
 }

@@ -182,6 +182,18 @@ class Hart final : public common::Index {
   /// read raced an update and the caller should retry or fall back.
   int read_leaf_value_optimistic(const HartLeaf* leaf,
                                  std::string* out) const;
+  /// The range-scan kernel (DESIGN.md, "Scan kernel"): walks one
+  /// partition from `from` (its first key when null) and appends each
+  /// bit-probed, vseq-validated entry to `out` until `out` holds `limit`.
+  /// The walk prefetches leaf and value lines a fixed window ahead of the
+  /// emit stage; PM reads are charged only at emit, exactly as an
+  /// unpipelined walk charges them. Returns false when a value read tore
+  /// (the caller discards what this call appended). Callers hold either
+  /// the partition's shared lock or an EBR pin.
+  bool scan_partition(const HashDir::Partition* part, const art::Key* from,
+                      size_t limit,
+                      std::vector<std::pair<std::string, std::string>>* out)
+      const;
   /// Defer reuse of a freed PM slot until the reader grace period elapses.
   void retire_slot(epalloc::ObjType cls, uint64_t off) REQUIRES_EBR_PIN;
   static void retire_slot_cb(void* packed, void* self);

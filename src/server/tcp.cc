@@ -61,6 +61,7 @@ void TcpServer::accept_loop() {
       if (stopping_.load(std::memory_order_acquire)) return;
       continue;  // transient (EINTR, aborted handshake)
     }
+    join_reaped();
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     auto conn = std::make_shared<Conn>();
@@ -70,9 +71,42 @@ void TcpServer::accept_loop() {
       ::close(fd);
       return;
     }
-    conns_.push_back(conn);
-    conn_threads_.emplace_back([this, conn] { serve(conn); });
+    // The thread's own exit path (retire_conn) takes conns_mu_, so it
+    // finds its entry complete even if serve() returns at once.
+    conns_.push_back(
+        {conn, std::thread([this, conn] {
+           serve(conn);
+           retire_conn(conn);
+         })});
   }
+}
+
+void TcpServer::retire_conn(const std::shared_ptr<Conn>& conn) {
+  {
+    // Under write_mu: a late ack sees open == false instead of writing to
+    // a closed (possibly reused) descriptor.
+    common::MutexLock lk(conn->write_mu);
+    conn->open = false;
+    ::close(conn->fd);
+  }
+  common::MutexLock lk(conns_mu_);
+  // Not found once stop() has taken the list: stop() joins this thread.
+  for (auto& c : conns_) {
+    if (c.conn != conn) continue;
+    reaped_.push_back(std::move(c.thread));
+    c = std::move(conns_.back());
+    conns_.pop_back();
+    return;
+  }
+}
+
+void TcpServer::join_reaped() {
+  std::vector<std::thread> done;
+  {
+    common::MutexLock lk(conns_mu_);
+    done.swap(reaped_);
+  }
+  for (auto& t : done) t.join();
 }
 
 void TcpServer::send_response(const std::shared_ptr<Conn>& conn, uint64_t id,
@@ -105,7 +139,7 @@ void TcpServer::serve(const std::shared_ptr<Conn>& conn) {
             .inc();
         send_response(conn, 0, Response{Status::kProtocolError, {}, 0});
         // Actively hang up so the peer sees EOF right away; the fd itself
-        // is closed (under write_mu) by stop() like every other conn.
+        // is closed (under write_mu) by retire_conn like every other conn.
         ::shutdown(conn->fd, SHUT_RDWR);
         return;
       }
@@ -138,24 +172,21 @@ void TcpServer::stop() {
   if (accept_thread_.joinable()) accept_thread_.join();
   ::close(listen_fd_);
 
-  // Kick every reader out of recv(), join the connection threads, and only
-  // then close the fds — under write_mu, so a late ack can never write to
-  // a closed (possibly reused) descriptor.
-  std::vector<std::shared_ptr<Conn>> conns;
-  std::vector<std::thread> threads;
+  // Kick every reader out of recv() and join the connection threads; each
+  // closes its own fd on the way out (retire_conn). The shutdown checks
+  // `open` under write_mu: a connection that already retired has closed
+  // its fd, and the number may have been reused.
+  std::vector<ConnThread> conns;
   {
     common::MutexLock lk(conns_mu_);
     conns.swap(conns_);
-    threads.swap(conn_threads_);
   }
-  for (auto& c : conns) ::shutdown(c->fd, SHUT_RDWR);
-  for (auto& t : threads)
-    if (t.joinable()) t.join();
   for (auto& c : conns) {
-    common::MutexLock lk(c->write_mu);
-    c->open = false;
-    ::close(c->fd);
+    common::MutexLock lk(c.conn->write_mu);
+    if (c.conn->open) ::shutdown(c.conn->fd, SHUT_RDWR);
   }
+  for (auto& c : conns) c.thread.join();
+  join_reaped();
 }
 
 }  // namespace hart::server

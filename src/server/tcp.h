@@ -33,7 +33,7 @@ class TcpServer {
 
  private:
   // Shared with in-flight ack callbacks: a response writer takes write_mu
-  // and checks `open` before using fd, so stop() can close the socket
+  // and checks `open` before using fd, so retire_conn can close the socket
   // without racing a late ack.
   struct Conn {
     int fd = -1;
@@ -41,8 +41,18 @@ class TcpServer {
     bool open GUARDED_BY(write_mu) = true;
   };
 
+  // A live connection and the thread serving it.
+  struct ConnThread {
+    std::shared_ptr<Conn> conn;
+    std::thread thread;
+  };
+
   void accept_loop();
   void serve(const std::shared_ptr<Conn>& conn);
+  /// Closes a finished connection's fd and hands its thread to reaped_.
+  void retire_conn(const std::shared_ptr<Conn>& conn);
+  /// Joins the threads of connections that have finished.
+  void join_reaped();
   static void send_response(const std::shared_ptr<Conn>& conn, uint64_t id,
                             const Response& resp);
 
@@ -52,8 +62,10 @@ class TcpServer {
   std::atomic<bool> stopping_{false};
   std::thread accept_thread_;
   common::Mutex conns_mu_;
-  std::vector<std::shared_ptr<Conn>> conns_ GUARDED_BY(conns_mu_);
-  std::vector<std::thread> conn_threads_ GUARDED_BY(conns_mu_);
+  std::vector<ConnThread> conns_ GUARDED_BY(conns_mu_);
+  // Threads whose serve() returned; joined by the accept loop and stop(),
+  // so neither fds nor thread stacks grow with connection churn.
+  std::vector<std::thread> reaped_ GUARDED_BY(conns_mu_);
 };
 
 }  // namespace hart::server

@@ -4,6 +4,7 @@
 // ARTs, lock contention on popular prefixes) can be studied too.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -24,8 +25,9 @@ inline const char* dist_name(DistKind d) {
 
 /// Zipfian generator over [0, n) using the Gray/Jim-Gray rejection method
 /// (the same algorithm YCSB uses), theta = 0.99 by default. Supports a
-/// growing item count: next_below(n) re-derives constants lazily when n
-/// changes (amortized cheap for the insert-heavy mixes).
+/// changing item count: next_below(n) re-derives constants lazily when n
+/// changes, at a cost proportional to the change (cheap for churn mixes
+/// whose live count moves by one per insert or delete).
 class ZipfianGen {
  public:
   explicit ZipfianGen(double theta = 0.99) : theta_(theta) {}
@@ -41,17 +43,19 @@ class ZipfianGen {
         static_cast<double>(n) * std::pow(eta_ * u - eta_ + 1.0, alpha_));
   }
 
+  /// zeta(n, theta) for the last n drawn below (0 before the first draw).
+  [[nodiscard]] double zeta() const { return zetan_; }
+
  private:
   void recompute(uint64_t n) {
-    // Incremental zeta: extend from the previous n when possible.
-    if (n > n_) {
-      for (uint64_t i = n_; i < n; ++i)
-        zetan_ += 1.0 / std::pow(static_cast<double>(i + 1), theta_);
-    } else {
-      zetan_ = 0;
-      for (uint64_t i = 0; i < n; ++i)
-        zetan_ += 1.0 / std::pow(static_cast<double>(i + 1), theta_);
-    }
+    // Incremental zeta, O(|n - n_|) either way: add the new terms on a
+    // grow, subtract the dropped ones on a shrink. The dropped terms are
+    // summed first so the subtraction loses no more precision than the
+    // additions did.
+    double delta = 0;
+    for (uint64_t i = std::min(n, n_); i < std::max(n, n_); ++i)
+      delta += 1.0 / std::pow(static_cast<double>(i + 1), theta_);
+    zetan_ += n > n_ ? delta : -delta;
     n_ = n;
     alpha_ = 1.0 / (1.0 - theta_);
     const double zeta2 = 1.0 + std::pow(0.5, theta_);

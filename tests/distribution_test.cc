@@ -2,6 +2,9 @@
 // their integration with the mixed-workload generator.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <cmath>
 #include <map>
 #include <vector>
 
@@ -45,6 +48,48 @@ TEST(Zipfian, GrowingDomainKeepsWorking) {
     for (int i = 0; i < 500; ++i) EXPECT_LT(z.next_below(n, rng), n);
   // Shrinking afterwards also works (recompute path).
   for (int i = 0; i < 500; ++i) EXPECT_LT(z.next_below(100, rng), 100u);
+}
+
+TEST(Zipfian, IncrementalZetaMatchesFromScratchSum) {
+  // A churn mix moves the live count up and down by a few keys per op;
+  // each move adjusts zeta by the changed terms only. After a million
+  // alternating grow/shrink steps the running sum must still equal a
+  // from-scratch sum.
+  common::Rng rng(9);
+  ZipfianGen z;
+  uint64_t n = 5000;
+  for (int step = 0; step < 1000000; ++step) {
+    const uint64_t d = 1 + rng.next_below(8);
+    n = step % 2 == 0 ? n + d : n - std::min(d, n - 1);
+    EXPECT_LT(z.next_below(n, rng), n);
+  }
+  double fresh = 0;
+  for (uint64_t i = 0; i < n; ++i)
+    fresh += 1.0 / std::pow(static_cast<double>(i + 1), 0.99);
+  EXPECT_NEAR(z.zeta(), fresh, 1e-9 * fresh) << "n=" << n;
+}
+
+TEST(Zipfian, ChurnMixCostDoesNotGrowWithLiveCount) {
+  // Read-Intensive deletes shrink the live count, and each shrink used to
+  // re-sum zeta from 1: generation time grew linearly with the live count
+  // (about 4x from 10k to 40k live keys). Now both sizes cost about the
+  // same; the bound leaves room for a loaded host.
+  auto best_of_3 = [](size_t live) {
+    double best = 1e9;
+    for (int r = 0; r < 3; ++r) {
+      const auto t0 = std::chrono::steady_clock::now();
+      const auto ops = make_mixed_ops(20000, live, live + 20000,
+                                      kReadIntensive, 3, DistKind::kZipfian);
+      const std::chrono::duration<double> dt =
+          std::chrono::steady_clock::now() - t0;
+      EXPECT_EQ(ops.size(), 20000u);
+      best = std::min(best, dt.count());
+    }
+    return best;
+  };
+  const double small = best_of_3(10000);
+  const double large = best_of_3(40000);
+  EXPECT_LT(large, 2.5 * small + 0.02) << small << " s vs " << large << " s";
 }
 
 TEST(Latest, FavorsHighestIndices) {

@@ -13,7 +13,11 @@
 //     fast path;
 //   * frees are deferred through EBR (ebr_deferred_free_total moves) and
 //     reclaimed on quiesce();
-//   * multi_get and range agree with the same invariants under churn.
+//   * multi_get and range agree with the same invariants under churn;
+//   * range scans and cursors that cross a churned partition stay sorted,
+//     start at their lower bound and lose no key a writer never touched;
+//   * the EBR advance cadence restarts with every fresh Hart, so two
+//     identical op streams cost identical PM work.
 //
 // Run under TSAN (HART_SANITIZE=thread) this doubles as the data-race
 // proof for the whole read protocol; the CI tsan-stress job does exactly
@@ -22,13 +26,16 @@
 
 #include "checked_arena.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/ebr.h"
 #include "common/rng.h"
 #include "hart/hart.h"
 #include "obs/counters.h"
@@ -232,6 +239,157 @@ TEST(HartOptimistic, RwlockAblationServesSameContract) {
   EXPECT_EQ(torn.load(), 0u);
   // The ablation frees eagerly: nothing went through the EBR limbo.
   EXPECT_EQ(ctr("ebr_deferred_free_total"), deferred0);
+}
+
+/// Stable keys ("no writer touches them") fill partitions "sa" and "sc"
+/// and every other slot of partition "sb"; churn keys fill the slots in
+/// between, so a scan through "sb" meets leaves deleted under it.
+std::string stable_key(char part, int i) {
+  char buf[16];
+  std::snprintf(buf, sizeof(buf), "s%c%04d0", part, i);
+  return buf;
+}
+std::string churn_slot(int i) {
+  char buf[16];
+  std::snprintf(buf, sizeof(buf), "sb%04d5", i);
+  return buf;
+}
+
+TEST(HartOptimistic, ScansLoseNoUntouchedKeyUnderWriters) {
+  auto arena = make_arena(64);
+  Hart h(*arena);
+  constexpr int kPerPart = 300;
+  std::vector<std::string> stable;
+  for (const char part : {'a', 'b', 'c'})
+    for (int i = 0; i < kPerPart; ++i) stable.push_back(stable_key(part, i));
+  std::sort(stable.begin(), stable.end());
+  for (const std::string& k : stable)
+    ASSERT_EQ(h.insert(k, std::string(8, 'k')), common::Status::kInserted);
+  for (int i = 0; i < kPerPart; i += 2)
+    ASSERT_EQ(h.insert(churn_slot(i), std::string(8, 'c')),
+              common::Status::kInserted);
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> bad{0};
+  std::atomic<uint64_t> scans{0};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < 2; ++w) {
+    writers.emplace_back([&h, &stop, w] {
+      common::Rng rng(w * 17 + 3);
+      int round = 0;
+      while (!stop.load(std::memory_order_relaxed)) {
+        const std::string k =
+            churn_slot(static_cast<int>(rng.next_below(kPerPart)));
+        const std::string v(1 + round % 40,
+                            static_cast<char>('a' + round % 26));
+        switch (rng.next_below(3)) {
+          case 0: h.insert(k, v); break;
+          case 1: h.update(k, v); break;
+          default: h.remove(k); break;
+        }
+        ++round;
+      }
+    });
+  }
+
+  // Every stable key in [lo, last returned key] — or in [lo, end) when
+  // the scan came back short of its limit — must be in the result.
+  auto check = [&](const std::string& lo, size_t limit,
+                   const std::vector<std::pair<std::string, std::string>>&
+                       out) {
+    if (!out.empty() && out.front().first < lo) bad.fetch_add(1);
+    for (size_t j = 0; j < out.size(); ++j) {
+      if (!untorn(out[j].second)) bad.fetch_add(1);
+      if (j > 0 && !(out[j - 1].first < out[j].first)) bad.fetch_add(1);
+    }
+    const auto first = std::lower_bound(stable.begin(), stable.end(), lo);
+    const auto last =
+        out.size() < limit
+            ? stable.end()
+            : std::upper_bound(stable.begin(), stable.end(),
+                               out.back().first);
+    size_t seen = 0;
+    for (const auto& [k, v] : out)
+      seen += std::binary_search(first, last, k) ? 1 : 0;
+    if (first < last && seen != static_cast<size_t>(last - first))
+      bad.fetch_add(1);
+  };
+
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 3; ++t) {
+    readers.emplace_back([&, t] {
+      common::Rng rng(t + 71);
+      std::vector<std::pair<std::string, std::string>> out;
+      for (int n = 0; n < 400; ++n) {
+        if (t == 2 && n % 40 == 0) {  // a cursor walks all three partitions
+          std::vector<std::pair<std::string, std::string>> walked;
+          for (HartCursor c(h, "sa", 1 + n % 97); c.valid(); c.next())
+            walked.emplace_back(c.key(), c.value());
+          check("sa", SIZE_MAX, walked);
+        }
+        const char part = static_cast<char>('a' + rng.next_below(3));
+        const std::string lo =
+            stable_key(part, static_cast<int>(rng.next_below(kPerPart)));
+        const size_t limit = 1 + rng.next_below(2 * kPerPart);
+        h.range(lo, limit, &out);
+        check(lo, limit, out);
+        scans.fetch_add(1);
+      }
+    });
+  }
+  for (auto& th : readers) th.join();
+  stop.store(true);
+  for (auto& th : writers) th.join();
+  EXPECT_EQ(bad.load(), 0u) << "a scan lost, reordered or tore an entry";
+  EXPECT_EQ(scans.load(), 1200u);
+}
+
+/// PM work of one fixed op stream on a fresh Hart, plus how many items it
+/// retired through EBR.
+struct StreamCost {
+  uint64_t persists, read_lines, allocs, frees, retires;
+  bool operator==(const StreamCost&) const = default;
+};
+
+StreamCost replay_stream() {
+  pmem::Arena::Options o;
+  o.size = size_t{64} << 20;
+  pmem::Arena arena(o);
+  const pmem::StatsSnapshot s0 = arena.stats().snapshot();
+  const uint64_t r0 = ctr("ebr_deferred_free_total");
+  {
+    Hart h(arena);
+    for (int i = 0; i < 700; ++i)
+      h.insert("cad" + std::to_string(i), std::string(8, 'a'));
+    for (int round = 0; round < 9; ++round) {
+      for (int i = 0; i < 60; ++i) h.remove("cad" + std::to_string(round * 60 + i));
+      for (int i = 0; i < 35; ++i)
+        h.insert("new" + std::to_string(round * 35 + i), std::string(16, 'b'));
+      for (int i = 0; i < 7; ++i)
+        h.update("cad" + std::to_string(600 + round * 7 + i), std::string(32, 'c'));
+      std::string v;
+      for (int i = 0; i < 50; ++i) h.search("cad" + std::to_string(i * 13), &v);
+    }
+  }  // ~Hart drains the domain
+  const pmem::StatsSnapshot s1 = arena.stats().snapshot();
+  return {s1.persist_calls - s0.persist_calls,
+          s1.pm_read_lines - s0.pm_read_lines, s1.alloc_calls - s0.alloc_calls,
+          s1.free_calls - s0.free_calls, ctr("ebr_deferred_free_total") - r0};
+}
+
+TEST(HartOptimistic, EbrCadenceRestartsWithEachInstance) {
+  // The domain is process-wide: without a cadence restart, the first
+  // instance's retire count (mod the advance interval) would shift every
+  // advance — and with it slot reuse and chunk recycling — of the second.
+  const StreamCost first = replay_stream();
+  ASSERT_GE(first.retires, 200u);
+  ASSERT_NE(first.retires % common::ebr::kAdvanceEvery, 0u);
+  const StreamCost second = replay_stream();
+  EXPECT_EQ(first.persists, second.persists);
+  EXPECT_EQ(first.read_lines, second.read_lines);
+  EXPECT_EQ(first.allocs, second.allocs);
+  EXPECT_EQ(first.frees, second.frees);
+  EXPECT_EQ(first.retires, second.retires);
 }
 
 }  // namespace

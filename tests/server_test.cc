@@ -2,10 +2,13 @@
 // both transports (in-process and TCP loopback), pipelined completion,
 // graceful shutdown, request validation, and PMCheck-cleanliness of the
 // whole batched-persist path.
+#include <dirent.h>
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <fstream>
 #include <deque>
 #include <string>
 #include <thread>
@@ -133,6 +136,57 @@ TEST(ClientTest, TcpRoundTrip) {
   for (const uint64_t id : ids)
     EXPECT_EQ(cl.wait(id).status, Status::kOk);
   EXPECT_EQ(db.total_size(), 101u);
+  tcp.stop();
+}
+
+size_t open_fd_count() {
+  size_t n = 0;
+  if (DIR* d = ::opendir("/proc/self/fd"); d != nullptr) {
+    while (::readdir(d) != nullptr) ++n;
+    ::closedir(d);
+  }
+  return n;
+}
+
+size_t thread_count() {
+  std::ifstream in("/proc/self/status");
+  for (std::string line; std::getline(in, line);)
+    if (line.rfind("Threads:", 0) == 0) return std::stoul(line.substr(8));
+  return 0;
+}
+
+TEST(ClientTest, ConnectionChurnLeavesFdsAndThreadsFlat) {
+  Hartd db(small_opts(2));
+  TcpServer tcp(db, 0);
+  auto cycle = [&](int i) {
+    Client cl("127.0.0.1", tcp.port());
+    ASSERT_TRUE(cl.connected());
+    EXPECT_TRUE(
+        is_acked_write(cl.put("churn" + std::to_string(i % 7), "v").status));
+  };
+  for (int i = 0; i < 5; ++i) cycle(i);
+  // Server-side teardown is asynchronous: poll until it settles.
+  auto settled = [](size_t fds, size_t threads) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    do {
+      const size_t f = open_fd_count();
+      const size_t t = thread_count();
+      if (f <= fds + 2 && f + 2 >= fds && t <= threads + 2 && t + 2 >= threads)
+        return true;
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    } while (std::chrono::steady_clock::now() < deadline);
+    return false;
+  };
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  const size_t fds0 = open_fd_count();
+  const size_t threads0 = thread_count();
+  for (int i = 0; i < 300; ++i) cycle(i);
+  EXPECT_TRUE(settled(fds0, threads0))
+      << "fds " << fds0 << " -> " << open_fd_count() << ", threads "
+      << threads0 << " -> " << thread_count();
+  // The server still serves after the churn.
+  cycle(0);
   tcp.stop();
 }
 

@@ -179,10 +179,6 @@ uint64_t mono_ns() {
 /// One client: pipelined request loop until the op budget or deadline.
 void run_client(Client& cli, const Config& cfg, size_t id, AckLog* log,
                 Counters* ctr, OpHists* hists) {
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
-          std::chrono::duration<double>(cfg.seconds));
   const bool timed = cfg.ops == 0;
   const hart::workload::MixSpec* mix = mix_spec(cfg.mix);
 
@@ -204,6 +200,13 @@ void run_client(Client& cli, const Config& cfg, size_t id, AckLog* log,
         ctr->errors.fetch_add(1, std::memory_order_relaxed);
     }
   }
+
+  // The clock starts after the op stream and the preload are ready:
+  // --seconds bounds the measured run, not the set-up.
+  const auto deadline =
+      std::chrono::steady_clock::now() +
+      std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+          std::chrono::duration<double>(cfg.seconds));
 
   struct Inflight {
     uint64_t rid;

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # stats_smoke.sh HARTD_BIN LOADGEN_BIN
 #
-# The HARTscope observability smoke. Five checks:
+# The HARTscope observability smoke. Six checks:
 #   1. In-process: `loadgen --inproc --stats-out` — the scraped
 #      hartd_ops_total must equal the loadgen's acked op count, and the
 #      PM-event counters (pm_persist_calls_total, hartd_epochs_total)
@@ -16,6 +16,8 @@
 #   5. Stitched tracing: a client->primary->follower run with sampling on
 #      must leave the SAME trace ids in all three processes' trace JSON
 #      (client spans, server stage spans, follower apply spans).
+#   6. Duration mode: a preload that outlasts --seconds must still be
+#      followed by a measured run (--seconds bounds the run, not set-up).
 # Run by ctest (stats_smoke) and the CI smoke job.
 set -euo pipefail
 
@@ -232,5 +234,18 @@ else
     { echo "FAIL: stitched trace spans missing"; exit 1; }
   echo "   stitched trace present (python3 unavailable, shallow check)"
 fi
+
+echo "== phase 6: --seconds starts after the preload"
+# 40k synchronous preload puts take several times the 0.05 s run.
+"$LOADGEN" --inproc --clients 1 --mix read-intensive --preload 40000 \
+           --seconds 0.05 > "$DIR/loadgen_timed.out"
+RAN=$(grep -oE '[0-9]+ acked, [0-9]+ miss' "$DIR/loadgen_timed.out" |
+      head -1 | awk '{ print $1 + $3 }')
+if [ "${RAN:-0}" -eq 0 ]; then
+  echo "FAIL: a preload longer than --seconds left no time for the run"
+  cat "$DIR/loadgen_timed.out"
+  exit 1
+fi
+echo "   $RAN ops ran after a 40k-key preload"
 
 echo "PASS: stats/trace smoke OK"
