@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "epalloc/allocator.h"
 #include "obs/counters.h"
 #include "server/client.h"
 #include "workload/mixes.h"
@@ -68,14 +67,13 @@ double svc_zipf() {  // Zipfian theta for the mixed-workload section
 
 SvcResult run_service(size_t shards, size_t batch,
                       const hart::pmem::LatencyConfig& lat,
-                      hart::epalloc::AllocOptions::Kind alloc_kind =
-                          hart::epalloc::AllocOptions::Kind::kAuto) {
+                      bool batched_meta = true) {
   Hartd::Options o;
   o.shards = shards;
   o.batch_size = batch;
   o.latency = lat;
   o.arena_mb = 64;
-  o.hart.alloc.kind = alloc_kind;
+  o.hart.batched_meta = batched_meta;
   Hartd db(o);
 
   const size_t per_client = svc_ops();
@@ -308,41 +306,38 @@ int main(int argc, char** argv) {
   }
   mixed.print();
 
-  // Allocator ablation: the same Random-insert burst under the striped
-  // allocator (service default: chunk-header persists batched onto the
-  // epoch fence) vs the legacy single-instance EPAllocator (--legacy-alloc,
-  // one eager header persist per alloc/free). The metric that matters is
-  // PM metadata persists *per op* — the striped allocator amortizes a
-  // whole batch of header updates into one flush per dirty chunk line at
-  // the fence the service already pays for. Emitted as a machine-readable
-  // BENCH json line for the experiment harness.
+  // Allocator ablation: the same Random-insert burst with chunk-header
+  // persists batched onto the epoch fence (the service default) vs eager
+  // (--eager-meta: the paper's schedule, one header persist per commit and
+  // per free). The metric that matters is PM metadata persists *per op* —
+  // batching amortizes a whole batch of header updates into one flush per
+  // dirty chunk line at the fence the service already pays for. Emitted as
+  // a machine-readable BENCH json line for the experiment harness.
   {
-    using hart::epalloc::AllocOptions;
     auto& reg = hart::obs::Registry::instance();
     auto meta_persists = [&reg] {
       return reg.counter("epalloc_pm_meta_persists_total").value();
     };
     struct Leg {
       const char* name;
-      AllocOptions::Kind kind;
+      bool batched_meta;
       double ops_per_sec = 0;
       uint64_t persists = 0;
       double per_op = 0;
-    } legs[] = {{"striped", AllocOptions::Kind::kStriped},
-                {"legacy", AllocOptions::Kind::kLegacy}};
+    } legs[] = {{"batched", true}, {"eager", false}};
     const uint64_t deferred0 =
         reg.counter("epalloc_meta_persists_deferred_total").value();
     const uint64_t flushes0 =
         reg.counter("epalloc_meta_flush_batches_total").value();
     for (Leg& leg : legs) {
       const uint64_t before = meta_persists();
-      const SvcResult r = run_service(4, 32, lats[1], leg.kind);
+      const SvcResult r = run_service(4, 32, lats[1], leg.batched_meta);
       leg.persists = meta_persists() - before;
       leg.ops_per_sec = r.ops_per_sec;
       leg.per_op = static_cast<double>(leg.persists) /
                    static_cast<double>(total);
     }
-    hart::common::Table ablation({"allocator (4 shards, 600/300)", "ops/s",
+    hart::common::Table ablation({"chunk headers (4 shards, 600/300)", "ops/s",
                                   "PM meta persists", "persists/op"});
     for (const Leg& leg : legs) {
       char ops[32], pp[32], po[32];
@@ -359,9 +354,9 @@ int main(int argc, char** argv) {
         "BENCH {\"name\":\"svc_alloc_ablation\",\"workload\":"
         "\"Random-insert\",\"shards\":4,\"batch\":32,\"latency\":\"%s\","
         "\"ops\":%zu,"
-        "\"striped\":{\"ops_per_sec\":%.0f,\"pm_meta_persists\":%llu,"
+        "\"batched\":{\"ops_per_sec\":%.0f,\"pm_meta_persists\":%llu,"
         "\"persists_per_op\":%.4f},"
-        "\"legacy\":{\"ops_per_sec\":%.0f,\"pm_meta_persists\":%llu,"
+        "\"eager\":{\"ops_per_sec\":%.0f,\"pm_meta_persists\":%llu,"
         "\"persists_per_op\":%.4f},"
         "\"pm_meta_persist_reduction\":%.4f,"
         "\"meta_persists_deferred\":%llu,\"meta_flush_batches\":%llu}\n",

@@ -74,14 +74,8 @@
 // calling thread holds a live ebr::Guard (rule HL003 unpinned-retire).
 // hartlint treats the body of a REQUIRES_EBR_PIN function as pinned and
 // checks that every *call site* is lexically inside a Guard scope or inside
-// another REQUIRES_EBR_PIN function. Expands to nothing in normal builds;
-// the optional AST-based checker (tools/hartlint/clang) compiles with
-// -DHARTLINT_AST_PASS and sees it as an annotate attribute.
-#if defined(HARTLINT_AST_PASS)
-#define REQUIRES_EBR_PIN __attribute__((annotate("hart::requires_ebr_pin")))
-#else
+// another REQUIRES_EBR_PIN function. Expands to nothing.
 #define REQUIRES_EBR_PIN
-#endif
 
 namespace hart::common {
 

@@ -61,12 +61,12 @@ class Hart final : public common::Index {
     /// flush); recovery rebuilds the DRAM tags from the key bytes. Off is
     /// the ablation baseline.
     bool fingerprints = true;
-    /// PM allocator selection: striped vs legacy, stripe count, and whether
-    /// chunk-header persists batch onto the flush_epoch() fence. Bare Hart
-    /// embedders default to eager metadata persists (per-op durability, as
-    /// the crash tests require); the service turns batching on because its
-    /// acks already wait for the epoch fence.
-    epalloc::AllocOptions alloc;
+    /// Defer the allocator's chunk-header persists to the flush_epoch()
+    /// fence (epalloc::Allocator, batched_meta). Bare Hart embedders keep
+    /// eager metadata persists (per-op durability, as the crash tests
+    /// require); the service turns batching on because its acks already
+    /// wait for the epoch fence.
+    bool batched_meta = false;
   };
 
   /// Opens a HART on `arena`. A fresh arena is initialized; an arena whose
@@ -112,7 +112,7 @@ class Hart final : public common::Index {
 
   /// Group-commit epoch fence (the service layer's batching hook): flushes
   /// the allocator's deferred chunk-header persists (Allocator::
-  /// flush_metadata — a no-op unless Options::alloc.batched_meta), then
+  /// flush_metadata — a no-op unless Options::batched_meta), then
   /// stamps and persists the root's epoch counter with ONE persistent()
   /// call and returns the new epoch. Every operation that returned before
   /// this call is durable once flush_epoch() returns — each op already
@@ -138,7 +138,7 @@ class Hart final : public common::Index {
   /// Requires quiescence (no concurrent writers), same as recover().
   template <class F>
   void for_each_key(F&& fn) const {
-    ep_->for_each_live(epalloc::ObjType::kLeaf, [&](uint64_t off) {
+    ep_.for_each_live(epalloc::ObjType::kLeaf, [&](uint64_t off) {
       const auto* leaf = arena_.ptr<HartLeaf>(off);
       fn(std::string_view(leaf->key, leaf->key_len));
     });
@@ -148,8 +148,8 @@ class Hart final : public common::Index {
   [[nodiscard]] size_t partition_count() const {
     return dir_.partition_count();
   }
-  [[nodiscard]] epalloc::Allocator& allocator() { return *ep_; }
-  [[nodiscard]] const epalloc::Allocator& allocator() const { return *ep_; }
+  [[nodiscard]] epalloc::Allocator& allocator() { return ep_; }
+  [[nodiscard]] const epalloc::Allocator& allocator() const { return ep_; }
   [[nodiscard]] pmem::Arena& arena() { return arena_; }
 
  private:
@@ -201,7 +201,7 @@ class Hart final : public common::Index {
   pmem::Arena& arena_;
   Options opts_;
   HartRoot* root_;
-  std::unique_ptr<epalloc::Allocator> ep_;
+  epalloc::Allocator ep_;
   std::atomic<uint64_t> dram_bytes_{0};
   HashDir dir_;
   std::atomic<size_t> count_{0};

@@ -25,10 +25,10 @@ struct HartLeaf {
   uint8_t val_len;                    // 1..64
   uint8_t val_class;                  // value class tag: 0/1/2/3 = 8/16/32/64 B
   // One-byte fingerprint of the leaf's ART key (FPTree-style; never 0 when
-  // set, 0 = unset/legacy image). Written with the rest of the tail before
-  // the insert's leaf persist, so it needs no extra flush; recovery
-  // re-derives the DRAM-side fingerprint tags from it (or from the key
-  // bytes, fixing the persisted copy lazily if a legacy image has 0 here).
+  // set, 0 = unset/pre-fingerprint image). Written with the rest of the
+  // tail before the insert's leaf persist, so it needs no extra flush;
+  // recovery re-derives the DRAM-side fingerprint tags from it (or from the
+  // key bytes, fixing the persisted copy lazily if an image has 0 here).
   uint8_t key_fp;
   // Value seqlock for lock-free readers: odd while an in-place update swings
   // the tail (val_len/val_class/p_value), even when stable. Purely a runtime

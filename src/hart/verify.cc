@@ -159,7 +159,7 @@ VerifyReport verify_hart_image(const pmem::Arena& arena) {
         } else if (leaf->key_fp != 0) {
           // V3 (fingerprint): a nonzero persisted fingerprint must match
           // the one derived from the key bytes after the hash prefix
-          // (0 = legacy/unset image, repaired lazily by recovery).
+          // (0 = pre-fingerprint/unset image, repaired lazily by recovery).
           const uint32_t kh = root->hash_key_len < leaf->key_len
                                   ? root->hash_key_len
                                   : leaf->key_len;

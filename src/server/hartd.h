@@ -80,7 +80,7 @@ class Hartd {
     /// off; client-stamped ids are always honored regardless.
     uint64_t trace_sample = 0;
     /// Engine options for every shard's Hart. The service defaults the
-    /// allocator to batched chunk-header persists (alloc.batched_meta):
+    /// allocator to batched chunk-header persists (batched_meta):
     /// write acks already wait for the shard's flush_epoch() fence, which
     /// is exactly where Allocator::flush_metadata() runs, so batching is
     /// ack-truthful here — unlike for a bare Hart embedder, whose ops must
@@ -88,7 +88,7 @@ class Hartd {
     /// per-op persists as an ablation.
     core::Hart::Options hart = [] {
       core::Hart::Options h;
-      h.alloc.batched_meta = true;
+      h.batched_meta = true;
       return h;
     }();
   };

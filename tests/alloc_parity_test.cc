@@ -1,21 +1,24 @@
-// Allocator parity and batched-metadata crash-repair tests (allocator
-// API v2): the striped allocator's persistent image is byte-compatible
-// with the legacy EPAllocator, so an arena written under either kind must
-// reopen cleanly under the other with identical contents. The batched
-// chunk-header schedule additionally introduces two recoverable torn
-// shapes (an in-flight delete whose header clears were deferred, and a
-// committed value orphaned by such a delete); these tests pin both the
-// deterministic repairs and a crash sweep across the persist stream.
+// Allocator format and batched-metadata crash-repair tests. The golden
+// arena test pins the persistent format (chunk lists, headers, micro-logs,
+// leaves, values) against an image written by the former single-instance
+// allocator, so the format cannot drift silently. The batched chunk-header
+// schedule introduces two recoverable torn shapes (an in-flight delete
+// whose header clears were deferred, and a committed value orphaned by
+// such a delete); the remaining tests pin both the deterministic repairs
+// and a crash sweep across the persist stream.
 #include <gtest/gtest.h>
 
 #include "checked_arena.h"
 
+#include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
-#include "epalloc/allocator.h"
 #include "hart/hart.h"
 #include "hart/verify.h"
 #include "obs/counters.h"
@@ -23,8 +26,6 @@
 
 namespace hart::core {
 namespace {
-
-using AllocKind = epalloc::AllocOptions::Kind;
 
 testutil::CheckedArena make_arena(bool shadow = false) {
   pmem::Arena::Options o;
@@ -34,10 +35,9 @@ testutil::CheckedArena make_arena(bool shadow = false) {
   return testutil::make_checked_arena(o);
 }
 
-Hart::Options with_alloc(AllocKind kind, bool batched = false) {
+Hart::Options batched() {
   Hart::Options o;
-  o.alloc.kind = kind;
-  o.alloc.batched_meta = batched;
+  o.batched_meta = true;
   return o;
 }
 
@@ -45,34 +45,101 @@ uint64_t counter_value(const char* name) {
   return obs::Registry::instance().counter(name).value();
 }
 
-/// Mixed-churn phase under one allocator kind: inserts, class-changing
-/// updates, deletes. Mutates `ref` to match.
-void churn(Hart& h, std::map<std::string, std::string>* ref,
-           const std::vector<std::string>& keys, const char* tag) {
-  for (size_t i = 0; i < keys.size(); ++i) {
-    const std::string v = std::string(tag) + "-" + std::to_string(i);
-    h.insert(keys[i], v);
-    (*ref)[keys[i]] = v;
+// ---- golden arena ---------------------------------------------------------
+//
+// tests/alloc_golden_arena.inc is the image a Hart left behind at commit
+// a9213d9, the last commit with the single-instance allocator (the
+// paper's EPallocator as a separate class: one lock domain, every chunk
+// header persisted inline). It was generated once, by a program that is
+// not kept because it needs that deleted class:
+//   * a 4 MiB anonymous arena, charge_alloc_persist off, Hart defaults
+//     (kh = 2) with the single-instance allocator selected;
+//   * golden_stream() below, applied op by op (every op must succeed);
+//   * the Hart destroyed cleanly, then every nonzero 64-byte line of the
+//     arena (header included) dumped as {offset, hex}.
+// The image held 133 live keys, 11 chunks, and verified clean.
+
+struct GoldenLine {
+  uint64_t off;
+  const char* hex;  // 64 bytes
+};
+constexpr GoldenLine kGoldenArena[] = {
+#include "alloc_golden_arena.inc"
+};
+constexpr size_t kGoldenArenaBytes = size_t{4} << 20;
+
+enum class Op { kInsert, kUpdate, kRemove };
+
+uint64_t splitmix64(uint64_t* s) {
+  uint64_t z = (*s += 0x9E3779B97F4A7C15ULL);
+  z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+  return z ^ (z >> 31);
+}
+
+/// `n` distinct alphanumeric keys of 4..12 bytes. Self-contained, so the
+/// golden image does not depend on the workload generators.
+std::vector<std::string> stream_keys(size_t n, uint64_t seed) {
+  static const char kAlpha[] =
+      "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789";
+  std::vector<std::string> out;
+  std::set<std::string> seen;
+  while (out.size() < n) {
+    std::string k(4 + splitmix64(&seed) % 9, ' ');
+    for (char& c : k) c = kAlpha[splitmix64(&seed) % 62];
+    if (seen.insert(k).second) out.push_back(k);
   }
-  // Class-changing updates (8B -> 33..64B) exercise the micro-log path.
-  for (size_t i = 0; i < keys.size(); i += 5) {
-    const std::string v(33 + i % 32, 'u');
-    ASSERT_EQ(h.update(keys[i], v), common::Status::kOk) << keys[i];
-    (*ref)[keys[i]] = v;
-  }
-  for (size_t i = 0; i < keys.size(); i += 3) {
-    ASSERT_EQ(h.remove(keys[i]), common::Status::kOk) << keys[i];
-    ref->erase(keys[i]);
+  return out;
+}
+
+/// The stream that wrote the golden image: two churn rounds over 150 and
+/// 50 keys. Each round inserts its keys (values of every size class),
+/// updates every 5th to a value of another length (class-changing
+/// updates go through the update micro-log), then deletes every 3rd.
+template <class F>
+void golden_stream(F&& apply) {
+  const auto keys = stream_keys(200, 0x601DE4A);
+  const size_t rounds[2][2] = {{0, 150}, {150, 200}};
+  for (const auto& r : rounds) {
+    for (size_t i = r[0]; i < r[1]; ++i)
+      apply(Op::kInsert, keys[i],
+            std::string(1 + (i * 13) % 64, static_cast<char>('a' + i % 26)));
+    for (size_t i = r[0]; i < r[1]; i += 5)
+      apply(Op::kUpdate, keys[i],
+            std::string(1 + (i * 29 + 17) % 64,
+                        static_cast<char>('A' + i % 26)));
+    for (size_t i = r[0]; i < r[1]; i += 3) apply(Op::kRemove, keys[i], "");
   }
 }
 
-void expect_matches(Hart& h, const std::map<std::string, std::string>& ref,
+/// Writes the golden image into a sparse file of kGoldenArenaBytes.
+void write_golden_file(const std::string& path) {
+  std::filesystem::remove(path);
+  { std::ofstream create(path, std::ios::binary); }
+  std::filesystem::resize_file(path, kGoldenArenaBytes);
+  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+  ASSERT_TRUE(f) << path;
+  for (const GoldenLine& line : kGoldenArena) {
+    char bytes[64];
+    for (size_t i = 0; i < sizeof(bytes); ++i) {
+      unsigned v = 0;
+      ASSERT_EQ(std::sscanf(line.hex + 2 * i, "%2x", &v), 1);
+      bytes[i] = static_cast<char>(v);
+    }
+    f.seekp(static_cast<std::streamoff>(line.off));
+    f.write(bytes, sizeof(bytes));
+  }
+  ASSERT_TRUE(f.good());
+}
+
+void expect_matches(const Hart& h,
+                    const std::map<std::string, std::string>& model,
                     const std::vector<std::string>& all_keys) {
-  EXPECT_EQ(h.size(), ref.size());
+  EXPECT_EQ(h.size(), model.size());
   for (const auto& k : all_keys) {
     std::string v;
-    const auto it = ref.find(k);
-    if (it != ref.end()) {
+    const auto it = model.find(k);
+    if (it != model.end()) {
       ASSERT_EQ(h.search(k, &v), common::Status::kOk) << k;
       EXPECT_EQ(v, it->second) << k;
     } else {
@@ -81,42 +148,58 @@ void expect_matches(Hart& h, const std::map<std::string, std::string>& ref,
   }
 }
 
-/// Write under `first`, reopen + mutate under `second`, reopen under
-/// `first` again. Recovery (Algorithm 7) must see identical contents at
-/// every hand-off and the image must verify clean throughout — the two
-/// allocators share one persistent format.
-void round_trip(AllocKind first, AllocKind second) {
-  auto arena = make_arena();
-  const auto keys_a = workload::make_random(600, 11, 4, 12);
-  const auto keys_b = workload::make_random(200, 22, 4, 12);
-  std::vector<std::string> all(keys_a.begin(), keys_a.end());
-  all.insert(all.end(), keys_b.begin(), keys_b.end());
-  std::map<std::string, std::string> ref;
-  {
-    Hart h(*arena, with_alloc(first));
-    churn(h, &ref, keys_a, "a");
-  }
-  EXPECT_TRUE(verify_hart_image(*arena).ok())
-      << verify_hart_image(*arena).summary();
-  {
-    Hart h(*arena, with_alloc(second));  // recovery under the other kind
-    expect_matches(h, ref, all);
-    churn(h, &ref, keys_b, "b");  // and it keeps working
-  }
-  EXPECT_TRUE(verify_hart_image(*arena).ok())
-      << verify_hart_image(*arena).summary();
-  {
-    Hart h(*arena, with_alloc(first));  // and back
-    expect_matches(h, ref, all);
-  }
+void expect_clean_image(const pmem::Arena& arena) {
+  const VerifyReport rep = verify_hart_image(arena);
+  EXPECT_TRUE(rep.issues.empty()) << rep.summary();
 }
 
-TEST(AllocParity, LegacyArenaReopensUnderStriped) {
-  round_trip(AllocKind::kLegacy, AllocKind::kStriped);
-}
+TEST(AllocParity, GoldenArenaReopensWithEveryKeyIntact) {
+  std::map<std::string, std::string> model;
+  golden_stream([&](Op op, const std::string& k, const std::string& v) {
+    if (op == Op::kRemove) {
+      model.erase(k);
+    } else {
+      model[k] = v;
+    }
+  });
+  const auto all_keys = stream_keys(200, 0x601DE4A);
+  ASSERT_EQ(model.size(), 133u);
 
-TEST(AllocParity, StripedArenaReopensUnderLegacy) {
-  round_trip(AllocKind::kStriped, AllocKind::kLegacy);
+  const std::string path = testing::TempDir() + "alloc_golden.arena";
+  write_golden_file(path);
+  pmem::Arena::Options o;
+  o.size = kGoldenArenaBytes;
+  o.charge_alloc_persist = false;
+  o.file_path = path;
+  {
+    auto arena = testutil::make_checked_arena(o);
+    ASSERT_TRUE(arena->reopened());
+    expect_clean_image(*arena);  // the raw image, before any recovery
+    Hart h(*arena);              // Algorithm 7 over the golden image
+    expect_matches(h, model, all_keys);
+    // The recovered tree keeps working on the old image: delete half the
+    // survivors and re-insert the deleted keys with new values.
+    size_t i = 0;
+    for (const auto& k : all_keys) {
+      if (model.contains(k)) {
+        if (i++ % 2 == 0) {
+          ASSERT_EQ(h.remove(k), common::Status::kOk) << k;
+          model.erase(k);
+        }
+      } else {
+        const std::string v(1 + k.size() * 5, 'r');
+        ASSERT_EQ(h.insert(k, v), common::Status::kInserted) << k;
+        model[k] = v;
+      }
+    }
+  }
+  {
+    auto arena = testutil::make_checked_arena(o);
+    expect_clean_image(*arena);
+    Hart h(*arena);
+    expect_matches(h, model, all_keys);
+  }
+  std::filesystem::remove(path);
 }
 
 // Deterministic batched-metadata repairs: fence a populated tree, delete
@@ -130,13 +213,13 @@ TEST(AllocParity, BatchedDeleteCrashCompletesOnRecovery) {
       counter_value("hart_recover_completed_deletes_total");
   const uint64_t orphans0 = counter_value("hart_recover_orphan_values_total");
   {
-    Hart h(*arena, with_alloc(AllocKind::kStriped, /*batched=*/true));
+    Hart h(*arena, batched());
     for (const auto& k : keys) h.insert(k, "v-" + k.substr(0, 4));
     h.flush_epoch();  // all 50 inserts durable
     ASSERT_EQ(h.remove(keys[7]), common::Status::kOk);
     arena->crash();  // deferred header clears are lost; p_value=0 survives
   }
-  Hart h2(*arena, with_alloc(AllocKind::kStriped, /*batched=*/true));
+  Hart h2(*arena, batched());
   EXPECT_EQ(counter_value("hart_recover_completed_deletes_total"),
             deletes0 + 1);
   EXPECT_EQ(counter_value("hart_recover_orphan_values_total"), orphans0 + 1);
@@ -151,7 +234,7 @@ TEST(AllocParity, BatchedDeleteCrashCompletesOnRecovery) {
   // The repairs themselves were made durable by recovery's final
   // metadata flush: a second crash+recover must not repeat them.
   arena->crash();
-  Hart h3(*arena, with_alloc(AllocKind::kStriped, /*batched=*/true));
+  Hart h3(*arena, batched());
   EXPECT_EQ(counter_value("hart_recover_completed_deletes_total"),
             deletes0 + 1);
   EXPECT_EQ(counter_value("hart_recover_orphan_values_total"), orphans0 + 1);
@@ -164,7 +247,7 @@ TEST(AllocParity, BatchedDeleteCrashCompletesOnRecovery) {
 // persists, so the crash can land between an operation and its fence.
 TEST(AllocParity, BatchedCrashSweepKeepsFencedWrites) {
   const auto keys = workload::make_random(240, 55, 4, 12);
-  const auto opts = with_alloc(AllocKind::kStriped, /*batched=*/true);
+  const auto opts = batched();
   for (uint64_t crash_at = 7; crash_at <= 400; crash_at += 23) {
     auto arena = make_arena(/*shadow=*/true);
     size_t fenced = 0;  // keys[0..fenced) are durable

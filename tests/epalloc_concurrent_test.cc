@@ -1,7 +1,10 @@
-// Multithreaded stress tests for EPallocator: concurrent two-phase
+// Multithreaded stress tests for the PM allocator: concurrent two-phase
 // allocation never double-issues a slot, commits/frees/recycles from many
 // threads keep the chunk lists and bitmaps consistent, and the update-log
-// slot pool never hands the same slot to two threads.
+// slot pool never hands the same slot to two threads. Every case runs at
+// one stripe (the paper's single-instance allocator: all threads share one
+// lock domain) and at four (threads spread over stripes and steal), both
+// with eager chunk-header persists.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,7 +14,7 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "epalloc/epalloc.h"
+#include "epalloc/allocator.h"
 #include "pmem/arena.h"
 
 namespace hart::epalloc {
@@ -23,7 +26,7 @@ struct FakeLeaf {
   uint8_t pad[31];
 };
 
-EPAllocator::LeafValueRef probe(const pmem::Arena& a, uint64_t off) {
+LeafValueRef probe(const pmem::Arena& a, uint64_t off) {
   const auto* l = a.ptr<FakeLeaf>(off);
   return {l->p_value,
           l->val_class == 0 ? ObjType::kValue8 : ObjType::kValue16};
@@ -37,152 +40,173 @@ struct R {
   EPRoot ep;
 };
 
-TEST(EPAllocConcurrent, NoSlotIssuedTwice) {
-  pmem::Arena::Options o;
-  o.size = 128 << 20;
-  pmem::Arena arena(o);
-  EPAllocator ep(arena, &arena.root<R>()->ep, sizeof(FakeLeaf), &probe,
-                 &clear);
+constexpr uint32_t kStripeCounts[] = {1, 4};
 
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 5000;
-  std::vector<std::vector<uint64_t>> got(kThreads);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      got[t].reserve(kPerThread);
-      for (int i = 0; i < kPerThread; ++i) {
-        const uint64_t off = ep.ep_malloc(ObjType::kLeaf);
-        ep.commit(ObjType::kLeaf, off);
-        got[t].push_back(off);
-      }
-    });
+/// reserve() that must succeed (the arenas here never run out).
+uint64_t take(Allocator& ep, ObjType t) {
+  uint64_t off = 0;
+  EXPECT_EQ(ep.reserve(t, &off), common::Status::kOk);
+  return off;
+}
+
+TEST(EPAllocConcurrent, NoSlotIssuedTwice) {
+  for (const uint32_t stripes : kStripeCounts) {
+    SCOPED_TRACE(::testing::Message() << "stripes=" << stripes);
+    pmem::Arena::Options o;
+    o.size = 128 << 20;
+    pmem::Arena arena(o);
+    Allocator ep(arena, &arena.root<R>()->ep, sizeof(FakeLeaf), &probe, &clear,
+                 stripes, /*batched_meta=*/false);
+
+    constexpr int kThreads = 8;
+    constexpr int kPerThread = 5000;
+    std::vector<std::vector<uint64_t>> got(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        got[t].reserve(kPerThread);
+        for (int i = 0; i < kPerThread; ++i) {
+          const uint64_t off = take(ep, ObjType::kLeaf);
+          ep.commit(ObjType::kLeaf, off);
+          got[t].push_back(off);
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+    std::set<uint64_t> all;
+    for (const auto& v : got)
+      for (const uint64_t off : v)
+        EXPECT_TRUE(all.insert(off).second) << "slot issued twice: " << off;
+    EXPECT_EQ(ep.live_objects(ObjType::kLeaf),
+              static_cast<uint64_t>(kThreads * kPerThread));
   }
-  for (auto& th : threads) th.join();
-  std::set<uint64_t> all;
-  for (const auto& v : got)
-    for (const uint64_t off : v)
-      EXPECT_TRUE(all.insert(off).second) << "slot issued twice: " << off;
-  EXPECT_EQ(ep.live_objects(ObjType::kLeaf),
-            static_cast<uint64_t>(kThreads * kPerThread));
 }
 
 TEST(EPAllocConcurrent, ChurnWithRecyclesStaysConsistent) {
-  pmem::Arena::Options o;
-  o.size = 128 << 20;
-  pmem::Arena arena(o);
-  EPAllocator ep(arena, &arena.root<R>()->ep, sizeof(FakeLeaf), &probe,
-                 &clear);
+  for (const uint32_t stripes : kStripeCounts) {
+    SCOPED_TRACE(::testing::Message() << "stripes=" << stripes);
+    pmem::Arena::Options o;
+    o.size = 128 << 20;
+    pmem::Arena arena(o);
+    Allocator ep(arena, &arena.root<R>()->ep, sizeof(FakeLeaf), &probe, &clear,
+                 stripes, /*batched_meta=*/false);
 
-  constexpr int kThreads = 8;
-  std::atomic<int64_t> net{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      common::Rng rng(t + 1);
-      std::vector<uint64_t> mine;
-      for (int step = 0; step < 8000; ++step) {
-        if (mine.empty() || rng.next_below(3) != 0) {
-          const uint64_t off = ep.ep_malloc(ObjType::kValue8);
-          ep.commit(ObjType::kValue8, off);
-          mine.push_back(off);
-          net.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          const size_t pick = rng.next_below(mine.size());
-          const uint64_t off = mine[pick];
-          mine[pick] = mine.back();
-          mine.pop_back();
+    constexpr int kThreads = 8;
+    std::atomic<int64_t> net{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        common::Rng rng(t + 1);
+        std::vector<uint64_t> mine;
+        for (int step = 0; step < 8000; ++step) {
+          if (mine.empty() || rng.next_below(3) != 0) {
+            const uint64_t off = take(ep, ObjType::kValue8);
+            ep.commit(ObjType::kValue8, off);
+            mine.push_back(off);
+            net.fetch_add(1, std::memory_order_relaxed);
+          } else {
+            const size_t pick = rng.next_below(mine.size());
+            const uint64_t off = mine[pick];
+            mine[pick] = mine.back();
+            mine.pop_back();
+            ep.free_object(ObjType::kValue8, off);
+            ep.recycle_chunk_of(ObjType::kValue8, off);
+            net.fetch_sub(1, std::memory_order_relaxed);
+          }
+        }
+        for (const uint64_t off : mine) {
           ep.free_object(ObjType::kValue8, off);
           ep.recycle_chunk_of(ObjType::kValue8, off);
           net.fetch_sub(1, std::memory_order_relaxed);
         }
-      }
-      for (const uint64_t off : mine) {
-        ep.free_object(ObjType::kValue8, off);
-        ep.recycle_chunk_of(ObjType::kValue8, off);
-        net.fetch_sub(1, std::memory_order_relaxed);
-      }
-    });
+      });
+    }
+    for (auto& th : threads) th.join();
+    EXPECT_EQ(net.load(), 0);
+    EXPECT_EQ(ep.live_objects(ObjType::kValue8), 0u);
+    EXPECT_EQ(ep.chunk_count(ObjType::kValue8), 0u)
+        << "all empty chunks must have been recycled";
+    EXPECT_EQ(arena.stats().pm_live_bytes.load(), 0u);
   }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(net.load(), 0);
-  EXPECT_EQ(ep.live_objects(ObjType::kValue8), 0u);
-  EXPECT_EQ(ep.chunk_count(ObjType::kValue8), 0u)
-      << "all empty chunks must have been recycled";
-  EXPECT_EQ(arena.stats().pm_live_bytes.load(), 0u);
 }
 
 TEST(EPAllocConcurrent, UlogSlotsAreExclusive) {
-  pmem::Arena::Options o;
-  o.size = 16 << 20;
-  pmem::Arena arena(o);
-  EPAllocator ep(arena, &arena.root<R>()->ep, sizeof(FakeLeaf), &probe,
-                 &clear);
+  for (const uint32_t stripes : kStripeCounts) {
+    SCOPED_TRACE(::testing::Message() << "stripes=" << stripes);
+    pmem::Arena::Options o;
+    o.size = 16 << 20;
+    pmem::Arena arena(o);
+    Allocator ep(arena, &arena.root<R>()->ep, sizeof(FakeLeaf), &probe, &clear,
+                 stripes, /*batched_meta=*/false);
 
-  std::atomic<bool> failed{false};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < 20000; ++i) {
-        UpdateLog* log = ep.acquire_ulog();
-        // Exclusive ownership: nobody else writes this slot while held.
-        log->pleaf = static_cast<uint64_t>(t + 1);
-        log->poldv = static_cast<uint64_t>(i);
-        if (log->pleaf != static_cast<uint64_t>(t + 1))
-          failed.store(true, std::memory_order_relaxed);
-        ep.reclaim_ulog(log);
-      }
-    });
+    std::atomic<bool> failed{false};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 8; ++t) {
+      threads.emplace_back([&, t] {
+        for (int i = 0; i < 20000; ++i) {
+          UpdateLog* log = ep.acquire_ulog();
+          // Exclusive ownership: nobody else writes this slot while held.
+          log->pleaf = static_cast<uint64_t>(t + 1);
+          log->poldv = static_cast<uint64_t>(i);
+          if (log->pleaf != static_cast<uint64_t>(t + 1))
+            failed.store(true, std::memory_order_relaxed);
+          ep.reclaim_ulog(log);
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+    EXPECT_FALSE(failed.load());
+    for (const auto& slot : arena.root<R>()->ep.ulogs)
+      EXPECT_EQ(slot.pleaf, 0u) << "all slots reclaimed";
   }
-  for (auto& th : threads) th.join();
-  EXPECT_FALSE(failed.load());
-  for (const auto& slot : arena.root<R>()->ep.ulogs)
-    EXPECT_EQ(slot.pleaf, 0u) << "all slots reclaimed";
 }
 
 TEST(EPAllocConcurrent, MixedTypesAndStaleProbes) {
   // Leaf allocations racing with value frees exercise the nested
   // LEAF->VALUE lock ordering of the stale-value probe path.
-  pmem::Arena::Options o;
-  o.size = 128 << 20;
-  pmem::Arena arena(o);
-  EPAllocator ep(arena, &arena.root<R>()->ep, sizeof(FakeLeaf), &probe,
-                 &clear);
+  for (const uint32_t stripes : kStripeCounts) {
+    SCOPED_TRACE(::testing::Message() << "stripes=" << stripes);
+    pmem::Arena::Options o;
+    o.size = 128 << 20;
+    pmem::Arena arena(o);
+    Allocator ep(arena, &arena.root<R>()->ep, sizeof(FakeLeaf), &probe, &clear,
+                 stripes, /*batched_meta=*/false);
 
-  constexpr int kThreads = 8;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      common::Rng rng(t * 31 + 7);
-      for (int step = 0; step < 4000; ++step) {
-        const uint64_t leaf = ep.ep_malloc(ObjType::kLeaf);
-        const ObjType vcls =
-            rng.next_below(2) ? ObjType::kValue8 : ObjType::kValue16;
-        const uint64_t val = ep.ep_malloc(vcls);
-        auto* l = arena.ptr<FakeLeaf>(leaf);
-        l->p_value = val;
-        l->val_class = vcls == ObjType::kValue8 ? 0 : 1;
-        arena.persist(l, sizeof(*l));
-        ep.commit(vcls, val);
-        ep.commit(ObjType::kLeaf, leaf);
-        if (rng.next_below(2)) {
-          // Delete via the combined leaf+value release.
-          ep.free_leaf_with_value(leaf, vcls, val);
-          ep.recycle_chunk_of(vcls, val);
-          ep.recycle_chunk_of(ObjType::kLeaf, leaf);
+    constexpr int kThreads = 8;
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        common::Rng rng(t * 31 + 7);
+        for (int step = 0; step < 4000; ++step) {
+          const uint64_t leaf = take(ep, ObjType::kLeaf);
+          const ObjType vcls =
+              rng.next_below(2) ? ObjType::kValue8 : ObjType::kValue16;
+          const uint64_t val = take(ep, vcls);
+          auto* l = arena.ptr<FakeLeaf>(leaf);
+          l->p_value = val;
+          l->val_class = vcls == ObjType::kValue8 ? 0 : 1;
+          arena.persist(l, sizeof(*l));
+          ep.commit(vcls, val);
+          ep.commit(ObjType::kLeaf, leaf);
+          if (rng.next_below(2)) {
+            // Delete via the combined leaf+value release.
+            ep.free_leaf_with_value(leaf, vcls, val);
+            ep.recycle_chunk_of(vcls, val);
+            ep.recycle_chunk_of(ObjType::kLeaf, leaf);
+          }
         }
-      }
+      });
+    }
+    for (auto& th : threads) th.join();
+    // Whatever remains must be internally consistent: every live leaf's
+    // value bit is set.
+    ep.for_each_live(ObjType::kLeaf, [&](uint64_t off) {
+      const auto* l = arena.ptr<FakeLeaf>(off);
+      const ObjType vcls =
+          l->val_class == 0 ? ObjType::kValue8 : ObjType::kValue16;
+      EXPECT_TRUE(ep.bit_is_set(vcls, l->p_value)) << off;
     });
   }
-  for (auto& th : threads) th.join();
-  // Whatever remains must be internally consistent: every live leaf's
-  // value bit is set.
-  ep.for_each_live(ObjType::kLeaf, [&](uint64_t off) {
-    const auto* l = arena.ptr<FakeLeaf>(off);
-    const ObjType vcls =
-        l->val_class == 0 ? ObjType::kValue8 : ObjType::kValue16;
-    EXPECT_TRUE(ep.bit_is_set(vcls, l->p_value)) << off;
-  });
 }
 
 }  // namespace

@@ -1,13 +1,17 @@
-// Unit tests for EPallocator: chunk header encoding, two-phase allocation,
-// chunk-list growth, recycling with the recycle log, stale-value
-// reclamation, and structural recovery.
+// Unit tests for the PM allocator (epalloc::Allocator): chunk header
+// encoding, two-phase allocation, chunk-list growth, recycling with the
+// recycle log, stale-value reclamation, and structural recovery. Every
+// allocator case runs at the paper's configuration (one stripe) and at
+// four stripes, both with eager chunk-header persists.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <functional>
+#include <memory>
 #include <set>
 #include <vector>
 
-#include "epalloc/epalloc.h"
+#include "epalloc/allocator.h"
 #include "pmem/arena.h"
 
 namespace hart::epalloc {
@@ -22,8 +26,7 @@ struct FakeLeaf {
 };
 static_assert(sizeof(FakeLeaf) == 40);
 
-EPAllocator::LeafValueRef fake_probe(const pmem::Arena& a,
-                                     uint64_t leaf_off) {
+LeafValueRef fake_probe(const pmem::Arena& a, uint64_t leaf_off) {
   const auto* l = a.ptr<FakeLeaf>(leaf_off);
   return {l->p_value,
           l->val_class == 0 ? ObjType::kValue8 : ObjType::kValue16};
@@ -38,24 +41,51 @@ struct Root {
   EPRoot ep;
 };
 
+constexpr uint32_t kStripeCounts[] = {1, 4};
+
+pmem::Arena::Options test_arena() {
+  pmem::Arena::Options o;
+  o.size = 32 << 20;
+  o.shadow = true;
+  o.charge_alloc_persist = false;
+  return o;
+}
+
+std::unique_ptr<Allocator> new_allocator(pmem::Arena& arena, EPRoot* root,
+                                         uint32_t stripes) {
+  return std::make_unique<Allocator>(arena, root, sizeof(FakeLeaf),
+                                     &fake_probe, &fake_clear, stripes,
+                                     /*batched_meta=*/false);
+}
+
+/// reserve() that must succeed (the arenas here never run out).
+uint64_t take(Allocator& ep, ObjType t) {
+  uint64_t off = 0;
+  EXPECT_EQ(ep.reserve(t, &off), common::Status::kOk);
+  return off;
+}
+
 class EPAllocTest : public ::testing::Test {
  protected:
-  EPAllocTest() {
-    pmem::Arena::Options o;
-    o.size = 32 << 20;
-    o.shadow = true;
-    o.charge_alloc_persist = false;
-    arena_ = std::make_unique<pmem::Arena>(o);
-    make_alloc();
+  /// Runs `body` once per stripe count, each time on a fresh arena.
+  void for_each_stripe_count(const std::function<void()>& body) {
+    for (const uint32_t stripes : kStripeCounts) {
+      SCOPED_TRACE(::testing::Message() << "stripes=" << stripes);
+      stripes_ = stripes;
+      ep_.reset();
+      arena_ = std::make_unique<pmem::Arena>(test_arena());
+      make_alloc();
+      body();
+    }
   }
   void make_alloc() {
-    ep_ = std::make_unique<EPAllocator>(*arena_,
-                                        &arena_->root<Root>()->ep,
-                                        sizeof(FakeLeaf), &fake_probe,
-                                        &fake_clear);
+    ep_ = new_allocator(*arena_, &arena_->root<Root>()->ep, stripes_);
   }
+  uint64_t take(ObjType t) { return epalloc::take(*ep_, t); }
+
+  uint32_t stripes_ = 1;
   std::unique_ptr<pmem::Arena> arena_;
-  std::unique_ptr<EPAllocator> ep_;
+  std::unique_ptr<Allocator> ep_;
 };
 
 TEST(ChunkHdr, RoundTripsFields) {
@@ -99,272 +129,295 @@ TEST(TypeGeometry, ChunkOfAndIndexOfInvertObjectOff) {
 }
 
 TEST_F(EPAllocTest, FirstMallocCreatesOneChunk) {
-  EXPECT_EQ(ep_->chunk_count(ObjType::kLeaf), 0u);
-  const uint64_t o = ep_->ep_malloc(ObjType::kLeaf);
-  EXPECT_NE(o, 0u);
-  EXPECT_EQ(ep_->chunk_count(ObjType::kLeaf), 1u);
-  // Reserved, not yet committed:
-  EXPECT_FALSE(ep_->bit_is_set(ObjType::kLeaf, o));
-  ep_->commit(ObjType::kLeaf, o);
-  EXPECT_TRUE(ep_->bit_is_set(ObjType::kLeaf, o));
-  EXPECT_TRUE(ep_->bit_probe(ObjType::kLeaf, o));
+  for_each_stripe_count([&] {
+    EXPECT_EQ(ep_->chunk_count(ObjType::kLeaf), 0u);
+    const uint64_t o = take(ObjType::kLeaf);
+    EXPECT_NE(o, 0u);
+    EXPECT_EQ(ep_->chunk_count(ObjType::kLeaf), 1u);
+    // Reserved, not yet committed:
+    EXPECT_FALSE(ep_->bit_is_set(ObjType::kLeaf, o));
+    ep_->commit(ObjType::kLeaf, o);
+    EXPECT_TRUE(ep_->bit_is_set(ObjType::kLeaf, o));
+    EXPECT_TRUE(ep_->bit_probe(ObjType::kLeaf, o));
+  });
 }
 
 TEST_F(EPAllocTest, FiftySevenThMallocOpensSecondChunk) {
-  std::set<uint64_t> offs;
-  for (uint32_t i = 0; i < kObjectsPerChunk; ++i) {
-    const uint64_t o = ep_->ep_malloc(ObjType::kValue8);
-    ep_->commit(ObjType::kValue8, o);
+  for_each_stripe_count([&] {
+    std::set<uint64_t> offs;
+    for (uint32_t i = 0; i < kObjectsPerChunk; ++i) {
+      const uint64_t o = take(ObjType::kValue8);
+      ep_->commit(ObjType::kValue8, o);
+      EXPECT_TRUE(offs.insert(o).second);
+    }
+    EXPECT_EQ(ep_->chunk_count(ObjType::kValue8), 1u);
+    const uint64_t o = take(ObjType::kValue8);
     EXPECT_TRUE(offs.insert(o).second);
-  }
-  EXPECT_EQ(ep_->chunk_count(ObjType::kValue8), 1u);
-  const uint64_t o = ep_->ep_malloc(ObjType::kValue8);
-  EXPECT_TRUE(offs.insert(o).second);
-  EXPECT_EQ(ep_->chunk_count(ObjType::kValue8), 2u);
+    EXPECT_EQ(ep_->chunk_count(ObjType::kValue8), 2u);
+  });
 }
 
 TEST_F(EPAllocTest, ReservationsPreventDoubleHandout) {
-  const uint64_t a = ep_->ep_malloc(ObjType::kLeaf);
-  const uint64_t b = ep_->ep_malloc(ObjType::kLeaf);
-  EXPECT_NE(a, b) << "uncommitted reservation must not be re-issued";
-  ep_->release(ObjType::kLeaf, a);
-  const uint64_t c = ep_->ep_malloc(ObjType::kLeaf);
-  EXPECT_EQ(c, a) << "released slot is the first free again";
+  for_each_stripe_count([&] {
+    const uint64_t a = take(ObjType::kLeaf);
+    const uint64_t b = take(ObjType::kLeaf);
+    EXPECT_NE(a, b) << "uncommitted reservation must not be re-issued";
+    ep_->release(ObjType::kLeaf, a);
+    const uint64_t c = take(ObjType::kLeaf);
+    EXPECT_EQ(c, a) << "released slot is the first free again";
+  });
 }
 
 TEST_F(EPAllocTest, FreeObjectMakesSlotAvailable) {
-  const uint64_t o = ep_->ep_malloc(ObjType::kValue16);
-  ep_->commit(ObjType::kValue16, o);
-  // Occupy a second slot so the chunk is not recycled by emptiness checks.
-  const uint64_t keep = ep_->ep_malloc(ObjType::kValue16);
-  ep_->commit(ObjType::kValue16, keep);
-  ep_->free_object(ObjType::kValue16, o);
-  EXPECT_FALSE(ep_->bit_is_set(ObjType::kValue16, o));
-  EXPECT_EQ(ep_->ep_malloc(ObjType::kValue16), o);
+  for_each_stripe_count([&] {
+    const uint64_t o = take(ObjType::kValue16);
+    ep_->commit(ObjType::kValue16, o);
+    // Occupy a second slot so the chunk is not recycled by emptiness checks.
+    const uint64_t keep = take(ObjType::kValue16);
+    ep_->commit(ObjType::kValue16, keep);
+    ep_->free_object(ObjType::kValue16, o);
+    EXPECT_FALSE(ep_->bit_is_set(ObjType::kValue16, o));
+    EXPECT_EQ(take(ObjType::kValue16), o);
+  });
 }
 
 TEST_F(EPAllocTest, RecycleFreesEmptyChunkAndKeepsListConsistent) {
-  // Fill two chunks of values.
-  std::vector<uint64_t> offs;
-  for (uint32_t i = 0; i < kObjectsPerChunk * 2; ++i) {
-    const uint64_t o = ep_->ep_malloc(ObjType::kValue8);
-    ep_->commit(ObjType::kValue8, o);
-    offs.push_back(o);
-  }
-  EXPECT_EQ(ep_->chunk_count(ObjType::kValue8), 2u);
-  const auto& g = ep_->geom(ObjType::kValue8);
-  // Empty the *first allocated* chunk (it is the list tail after the head
-  // push of chunk 2).
-  const uint64_t tail_chunk = g.chunk_of(offs.front());
-  for (const uint64_t o : offs) {
-    if (g.chunk_of(o) == tail_chunk) {
-      ep_->free_object(ObjType::kValue8, o);
+  for_each_stripe_count([&] {
+    // Fill two chunks of values.
+    std::vector<uint64_t> offs;
+    for (uint32_t i = 0; i < kObjectsPerChunk * 2; ++i) {
+      const uint64_t o = take(ObjType::kValue8);
+      ep_->commit(ObjType::kValue8, o);
+      offs.push_back(o);
     }
-  }
-  ep_->recycle_chunk_of(ObjType::kValue8, offs.front());
-  EXPECT_EQ(ep_->chunk_count(ObjType::kValue8), 1u);
-  EXPECT_FALSE(arena_->is_allocated(tail_chunk, g.chunk_bytes));
-  // Remaining objects still intact.
-  for (const uint64_t o : offs) {
-    if (g.chunk_of(o) != tail_chunk) {
-      EXPECT_TRUE(ep_->bit_is_set(ObjType::kValue8, o));
+    EXPECT_EQ(ep_->chunk_count(ObjType::kValue8), 2u);
+    const auto& g = ep_->geom(ObjType::kValue8);
+    // Empty the *first allocated* chunk (it is the list tail after the head
+    // push of chunk 2).
+    const uint64_t tail_chunk = g.chunk_of(offs.front());
+    for (const uint64_t o : offs) {
+      if (g.chunk_of(o) == tail_chunk) {
+        ep_->free_object(ObjType::kValue8, o);
+      }
     }
-  }
+    ep_->recycle_chunk_of(ObjType::kValue8, offs.front());
+    EXPECT_EQ(ep_->chunk_count(ObjType::kValue8), 1u);
+    EXPECT_FALSE(arena_->is_allocated(tail_chunk, g.chunk_bytes));
+    // Remaining objects still intact.
+    for (const uint64_t o : offs) {
+      if (g.chunk_of(o) != tail_chunk) {
+        EXPECT_TRUE(ep_->bit_is_set(ObjType::kValue8, o));
+      }
+    }
+  });
 }
 
 TEST_F(EPAllocTest, RecycleHeadChunkUpdatesHead) {
-  // Two chunks; head is the most recently created one.
-  std::vector<uint64_t> offs;
-  for (uint32_t i = 0; i < kObjectsPerChunk + 1; ++i) {
-    const uint64_t o = ep_->ep_malloc(ObjType::kValue8);
-    ep_->commit(ObjType::kValue8, o);
-    offs.push_back(o);
-  }
-  const auto& g = ep_->geom(ObjType::kValue8);
-  const uint64_t head_chunk = ep_->list_head(ObjType::kValue8);
-  const uint64_t head_obj = offs.back();
-  ASSERT_EQ(g.chunk_of(head_obj), head_chunk);
-  ep_->free_object(ObjType::kValue8, head_obj);
-  ep_->recycle_chunk_of(ObjType::kValue8, head_obj);
-  EXPECT_EQ(ep_->chunk_count(ObjType::kValue8), 1u);
-  EXPECT_NE(ep_->list_head(ObjType::kValue8), head_chunk);
+  for_each_stripe_count([&] {
+    // Two chunks; head is the most recently created one.
+    std::vector<uint64_t> offs;
+    for (uint32_t i = 0; i < kObjectsPerChunk + 1; ++i) {
+      const uint64_t o = take(ObjType::kValue8);
+      ep_->commit(ObjType::kValue8, o);
+      offs.push_back(o);
+    }
+    const auto& g = ep_->geom(ObjType::kValue8);
+    const uint64_t head_chunk = ep_->list_head(ObjType::kValue8);
+    const uint64_t head_obj = offs.back();
+    ASSERT_EQ(g.chunk_of(head_obj), head_chunk);
+    ep_->free_object(ObjType::kValue8, head_obj);
+    ep_->recycle_chunk_of(ObjType::kValue8, head_obj);
+    EXPECT_EQ(ep_->chunk_count(ObjType::kValue8), 1u);
+    EXPECT_NE(ep_->list_head(ObjType::kValue8), head_chunk);
+  });
 }
 
 TEST_F(EPAllocTest, RecycleRefusesNonEmptyChunk) {
-  const uint64_t o = ep_->ep_malloc(ObjType::kValue8);
-  ep_->commit(ObjType::kValue8, o);
-  ep_->recycle_chunk_of(ObjType::kValue8, o);
-  EXPECT_EQ(ep_->chunk_count(ObjType::kValue8), 1u);
-  EXPECT_TRUE(ep_->bit_is_set(ObjType::kValue8, o));
+  for_each_stripe_count([&] {
+    const uint64_t o = take(ObjType::kValue8);
+    ep_->commit(ObjType::kValue8, o);
+    ep_->recycle_chunk_of(ObjType::kValue8, o);
+    EXPECT_EQ(ep_->chunk_count(ObjType::kValue8), 1u);
+    EXPECT_TRUE(ep_->bit_is_set(ObjType::kValue8, o));
+  });
 }
 
 TEST_F(EPAllocTest, StaleCommittedValueIsReclaimedOnLeafReuse) {
-  // Simulate a crashed insertion: value committed, leaf bit never set.
-  const uint64_t leaf = ep_->ep_malloc(ObjType::kLeaf);
-  const uint64_t val = ep_->ep_malloc(ObjType::kValue8);
-  ep_->commit(ObjType::kValue8, val);
-  auto* l = arena_->ptr<FakeLeaf>(leaf);
-  l->p_value = val;
-  l->val_class = 0;
-  arena_->persist(l, sizeof(*l));
-  // "Crash": reservation of the leaf evaporates.
-  ep_->release(ObjType::kLeaf, leaf);
+  for_each_stripe_count([&] {
+    // Simulate a crashed insertion: value committed, leaf bit never set.
+    const uint64_t leaf = take(ObjType::kLeaf);
+    const uint64_t val = take(ObjType::kValue8);
+    ep_->commit(ObjType::kValue8, val);
+    auto* l = arena_->ptr<FakeLeaf>(leaf);
+    l->p_value = val;
+    l->val_class = 0;
+    arena_->persist(l, sizeof(*l));
+    // "Crash": reservation of the leaf evaporates.
+    ep_->release(ObjType::kLeaf, leaf);
 
-  // The next leaf allocation receives the same slot and must reclaim the
-  // dangling value (Alg. 2 lines 12-16).
-  const uint64_t leaf2 = ep_->ep_malloc(ObjType::kLeaf);
-  EXPECT_EQ(leaf2, leaf);
-  EXPECT_EQ(arena_->ptr<FakeLeaf>(leaf2)->p_value, 0u);
-  EXPECT_FALSE(ep_->bit_is_set(ObjType::kValue8, val));
+    // The next leaf allocation receives the same slot and must reclaim the
+    // dangling value (Alg. 2 lines 12-16).
+    const uint64_t leaf2 = take(ObjType::kLeaf);
+    EXPECT_EQ(leaf2, leaf);
+    EXPECT_EQ(arena_->ptr<FakeLeaf>(leaf2)->p_value, 0u);
+    EXPECT_FALSE(ep_->bit_is_set(ObjType::kValue8, val));
+  });
 }
 
 TEST_F(EPAllocTest, LiveObjectCountsTrackCommits) {
-  std::vector<uint64_t> offs;
-  for (int i = 0; i < 10; ++i) {
-    const uint64_t o = ep_->ep_malloc(ObjType::kLeaf);
-    ep_->commit(ObjType::kLeaf, o);
-    offs.push_back(o);
-  }
-  EXPECT_EQ(ep_->live_objects(ObjType::kLeaf), 10u);
-  ep_->free_object(ObjType::kLeaf, offs[3]);
-  EXPECT_EQ(ep_->live_objects(ObjType::kLeaf), 9u);
+  for_each_stripe_count([&] {
+    std::vector<uint64_t> offs;
+    for (int i = 0; i < 10; ++i) {
+      const uint64_t o = take(ObjType::kLeaf);
+      ep_->commit(ObjType::kLeaf, o);
+      offs.push_back(o);
+    }
+    EXPECT_EQ(ep_->live_objects(ObjType::kLeaf), 10u);
+    ep_->free_object(ObjType::kLeaf, offs[3]);
+    EXPECT_EQ(ep_->live_objects(ObjType::kLeaf), 9u);
+  });
 }
 
 TEST_F(EPAllocTest, ForEachLiveVisitsExactlySetObjects) {
-  std::set<uint64_t> live;
-  for (int i = 0; i < 130; ++i) {
-    const uint64_t o = ep_->ep_malloc(ObjType::kLeaf);
-    ep_->commit(ObjType::kLeaf, o);
-    live.insert(o);
-  }
-  // Free every third object.
-  int k = 0;
-  for (auto it = live.begin(); it != live.end();) {
-    if (++k % 3 == 0) {
-      ep_->free_object(ObjType::kLeaf, *it);
-      it = live.erase(it);
-    } else {
-      ++it;
+  for_each_stripe_count([&] {
+    std::set<uint64_t> live;
+    for (int i = 0; i < 130; ++i) {
+      const uint64_t o = take(ObjType::kLeaf);
+      ep_->commit(ObjType::kLeaf, o);
+      live.insert(o);
     }
-  }
-  std::set<uint64_t> seen;
-  ep_->for_each_live(ObjType::kLeaf,
-                     [&](uint64_t o) { seen.insert(o); });
-  EXPECT_EQ(seen, live);
+    // Free every third object.
+    int k = 0;
+    for (auto it = live.begin(); it != live.end();) {
+      if (++k % 3 == 0) {
+        ep_->free_object(ObjType::kLeaf, *it);
+        it = live.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    std::set<uint64_t> seen;
+    ep_->for_each_live(ObjType::kLeaf,
+                       [&](uint64_t o) { seen.insert(o); });
+    EXPECT_EQ(seen, live);
+  });
 }
 
 TEST_F(EPAllocTest, RecoverStructureRebuildsReachability) {
-  std::vector<uint64_t> committed;
-  for (int i = 0; i < 70; ++i) {
-    const uint64_t o = ep_->ep_malloc(ObjType::kLeaf);
-    ep_->commit(ObjType::kLeaf, o);
-    committed.push_back(o);
-  }
-  // A reserved-but-uncommitted object, lost at the crash:
-  const uint64_t reserved = ep_->ep_malloc(ObjType::kLeaf);
-  (void)reserved;
+  for_each_stripe_count([&] {
+    std::vector<uint64_t> committed;
+    for (int i = 0; i < 70; ++i) {
+      const uint64_t o = take(ObjType::kLeaf);
+      ep_->commit(ObjType::kLeaf, o);
+      committed.push_back(o);
+    }
+    // A reserved-but-uncommitted object, lost at the crash:
+    const uint64_t reserved = take(ObjType::kLeaf);
+    (void)reserved;
 
-  arena_->crash();
-  make_alloc();
-  ep_->recover_structure();
+    arena_->crash();
+    make_alloc();
+    ep_->recover_structure();
 
-  EXPECT_EQ(ep_->live_objects(ObjType::kLeaf), committed.size());
-  // The reserved slot must be allocatable again.
-  std::set<uint64_t> again;
-  for (size_t i = 0; i < 2; ++i) again.insert(ep_->ep_malloc(ObjType::kLeaf));
-  EXPECT_TRUE(again.count(reserved) == 1);
+    EXPECT_EQ(ep_->live_objects(ObjType::kLeaf), committed.size());
+    // The reserved slot must be allocatable again.
+    std::set<uint64_t> again;
+    for (size_t i = 0; i < 2; ++i) again.insert(take(ObjType::kLeaf));
+    EXPECT_TRUE(again.count(reserved) == 1);
+  });
 }
 
 TEST_F(EPAllocTest, RecoveryIsLeakFreeByConstruction) {
-  // Allocate chunks in all three types, then crash with some reservations
-  // in flight; after recovery, physical usage equals exactly the reachable
-  // chunks.
-  for (int i = 0; i < 60; ++i) {
-    ep_->commit(ObjType::kLeaf, ep_->ep_malloc(ObjType::kLeaf));
-    ep_->commit(ObjType::kValue8, ep_->ep_malloc(ObjType::kValue8));
-  }
-  ep_->ep_malloc(ObjType::kValue16);  // reserved only
-  arena_->crash();
-  make_alloc();
-  ep_->recover_structure();
+  for_each_stripe_count([&] {
+    // Allocate chunks in all three types, then crash with some reservations
+    // in flight; after recovery, physical usage equals exactly the reachable
+    // chunks.
+    for (int i = 0; i < 60; ++i) {
+      ep_->commit(ObjType::kLeaf, take(ObjType::kLeaf));
+      ep_->commit(ObjType::kValue8, take(ObjType::kValue8));
+    }
+    take(ObjType::kValue16);  // reserved only
+    arena_->crash();
+    make_alloc();
+    ep_->recover_structure();
 
-  uint64_t expected = 0;
-  for (ObjType t : {ObjType::kLeaf, ObjType::kValue8, ObjType::kValue16,
-                    ObjType::kValue32, ObjType::kValue64}) {
-    expected += ep_->chunk_count(t) * ep_->geom(t).chunk_bytes;
-  }
-  EXPECT_EQ(arena_->stats().pm_live_bytes.load(), expected);
-  // kValue16 saw only a reservation: no chunk may survive... unless the
-  // chunk was created and linked before the crash, in which case it is
-  // reachable but empty — allowed. Either way nothing is leaked:
-  EXPECT_LE(ep_->chunk_count(ObjType::kValue16), 1u);
-  EXPECT_EQ(ep_->live_objects(ObjType::kValue16), 0u);
+    uint64_t expected = 0;
+    for (ObjType t : {ObjType::kLeaf, ObjType::kValue8, ObjType::kValue16,
+                      ObjType::kValue32, ObjType::kValue64}) {
+      expected += ep_->chunk_count(t) * ep_->geom(t).chunk_bytes;
+    }
+    EXPECT_EQ(arena_->stats().pm_live_bytes.load(), expected);
+    // kValue16 saw only a reservation: no chunk may survive... unless the
+    // chunk was created and linked before the crash, in which case it is
+    // reachable but empty — allowed. Either way nothing is leaked:
+    EXPECT_LE(ep_->chunk_count(ObjType::kValue16), 1u);
+    EXPECT_EQ(ep_->live_objects(ObjType::kValue16), 0u);
+  });
 }
 
 TEST_F(EPAllocTest, UpdateLogSlotsAcquireAndReclaim) {
-  UpdateLog* a = ep_->acquire_ulog();
-  UpdateLog* b = ep_->acquire_ulog();
-  EXPECT_NE(a, b);
-  a->pleaf = 1;
-  ep_->reclaim_ulog(a);
-  EXPECT_EQ(a->pleaf, 0u) << "reclaim must zero the slot";
-  UpdateLog* c = ep_->acquire_ulog();
-  EXPECT_EQ(c, a) << "freed slot is reused first";
-  ep_->reclaim_ulog(b);
-  ep_->reclaim_ulog(c);
+  for_each_stripe_count([&] {
+    UpdateLog* a = ep_->acquire_ulog();
+    UpdateLog* b = ep_->acquire_ulog();
+    EXPECT_NE(a, b);
+    a->pleaf = 1;
+    ep_->reclaim_ulog(a);
+    EXPECT_EQ(a->pleaf, 0u) << "reclaim must zero the slot";
+    UpdateLog* c = ep_->acquire_ulog();
+    EXPECT_EQ(c, a) << "freed slot is reused first";
+    ep_->reclaim_ulog(b);
+    ep_->reclaim_ulog(c);
+  });
 }
 
 TEST_F(EPAllocTest, CrashDuringRecycleIsRepairedOnRecovery) {
-  // Build two chunks, empty the tail chunk, then crash at each persist
-  // point inside recycle and verify recovery leaves a consistent list.
-  for (uint64_t crash_at = 1; crash_at <= 4; ++crash_at) {
-    pmem::Arena::Options o;
-    o.size = 32 << 20;
-    o.shadow = true;
-    o.charge_alloc_persist = false;
-    pmem::Arena arena(o);
-    struct R {
-      EPRoot ep;
-    };
-    auto mk = [&] {
-      return std::make_unique<EPAllocator>(arena, &arena.root<R>()->ep,
-                                           sizeof(FakeLeaf), &fake_probe,
-                                           &fake_clear);
-    };
-    auto ep = mk();
-    std::vector<uint64_t> offs;
-    for (uint32_t i = 0; i < kObjectsPerChunk * 2; ++i) {
-      const uint64_t obj = ep->ep_malloc(ObjType::kValue8);
-      ep->commit(ObjType::kValue8, obj);
-      offs.push_back(obj);
-    }
-    const auto& g = ep->geom(ObjType::kValue8);
-    const uint64_t victim_chunk = g.chunk_of(offs.front());
-    uint64_t survivors = 0;
-    for (const uint64_t obj : offs)
-      if (g.chunk_of(obj) == victim_chunk)
-        ep->free_object(ObjType::kValue8, obj);
-      else
-        ++survivors;
+  // Build two chunks, empty the tail chunk, then crash at each of the four
+  // persist points inside recycle (recycle log, predecessor in the log,
+  // predecessor link, log clear) and verify recovery leaves a consistent
+  // list.
+  for_each_stripe_count([&] {
+    for (uint64_t crash_at = 1; crash_at <= 4; ++crash_at) {
+      SCOPED_TRACE(::testing::Message() << "crash_at=" << crash_at);
+      ep_.reset();
+      arena_ = std::make_unique<pmem::Arena>(test_arena());
+      make_alloc();
+      std::vector<uint64_t> offs;
+      for (uint32_t i = 0; i < kObjectsPerChunk * 2; ++i) {
+        const uint64_t obj = take(ObjType::kValue8);
+        ep_->commit(ObjType::kValue8, obj);
+        offs.push_back(obj);
+      }
+      const auto& g = ep_->geom(ObjType::kValue8);
+      const uint64_t victim_chunk = g.chunk_of(offs.front());
+      ASSERT_NE(ep_->list_head(ObjType::kValue8), victim_chunk);
+      uint64_t survivors = 0;
+      for (const uint64_t obj : offs)
+        if (g.chunk_of(obj) == victim_chunk)
+          ep_->free_object(ObjType::kValue8, obj);
+        else
+          ++survivors;
 
-    arena.arm_crash_after(crash_at);
-    try {
-      ep->recycle_chunk_of(ObjType::kValue8, offs.front());
-      arena.disarm_crash();
-    } catch (const pmem::CrashPoint&) {
-      arena.crash();
+      arena_->arm_crash_after(crash_at);
+      bool crashed = false;
+      try {
+        ep_->recycle_chunk_of(ObjType::kValue8, offs.front());
+        arena_->disarm_crash();
+      } catch (const pmem::CrashPoint&) {
+        crashed = true;
+        arena_->crash();
+      }
+      EXPECT_TRUE(crashed) << "recycle issued fewer than 4 persists";
+      make_alloc();
+      ep_->recover_structure();
+      EXPECT_EQ(ep_->live_objects(ObjType::kValue8), survivors);
+      // List must be walkable and the recycle log empty.
+      EXPECT_EQ(arena_->root<Root>()->ep.rlog.pcurrent, 0u);
+      // Allocation still works afterwards.
+      const uint64_t obj = take(ObjType::kValue8);
+      ep_->commit(ObjType::kValue8, obj);
+      EXPECT_TRUE(ep_->bit_is_set(ObjType::kValue8, obj));
     }
-    ep = mk();
-    ep->recover_structure();
-    EXPECT_EQ(ep->live_objects(ObjType::kValue8), survivors)
-        << "crash_at=" << crash_at;
-    // List must be walkable and the recycle log empty.
-    EXPECT_EQ(arena.root<R>()->ep.rlog.pcurrent, 0u);
-    // Allocation still works afterwards.
-    const uint64_t obj = ep->ep_malloc(ObjType::kValue8);
-    ep->commit(ObjType::kValue8, obj);
-    EXPECT_TRUE(ep->bit_is_set(ObjType::kValue8, obj));
-  }
+  });
 }
 
 }  // namespace

@@ -25,6 +25,7 @@
 #include <deque>
 #include <fstream>
 #include <iterator>
+#include <latch>
 #include <memory>
 #include <string>
 #include <thread>
@@ -102,7 +103,7 @@ void usage(const char* argv0) {
       "  in-process server knobs (--inproc), shared with hartd:\n"
       "  --shards N --batch N --queue N --arena-dir D --arena-mb N\n"
       "  --latency W/R --bloom-bits-per-key N --rwlock-reads --check\n"
-      "  --legacy-alloc --alloc-stripes N --eager-meta\n"
+      "  --eager-meta      persist chunk headers per op (ablation)\n"
       "  --spin-latency    busy-wait injected latency per persist instead\n"
       "                    of banking it and sleeping once per batch\n"
       "  --help            this text\n",
@@ -177,8 +178,10 @@ uint64_t mono_ns() {
 }
 
 /// One client: pipelined request loop until the op budget or deadline.
+/// Arrives at `ready` once its op stream and preload are done, and starts
+/// the measured run only when every client has arrived.
 void run_client(Client& cli, const Config& cfg, size_t id, AckLog* log,
-                Counters* ctr, OpHists* hists) {
+                Counters* ctr, OpHists* hists, std::latch* ready) {
   const bool timed = cfg.ops == 0;
   const hart::workload::MixSpec* mix = mix_spec(cfg.mix);
 
@@ -201,8 +204,9 @@ void run_client(Client& cli, const Config& cfg, size_t id, AckLog* log,
     }
   }
 
-  // The clock starts after the op stream and the preload are ready:
-  // --seconds bounds the measured run, not the set-up.
+  // The clock starts after every client's op stream and preload are
+  // ready: --seconds bounds the measured run, not the set-up.
+  ready->arrive_and_wait();
   const auto deadline =
       std::chrono::steady_clock::now() +
       std::chrono::duration_cast<std::chrono::steady_clock::duration>(
@@ -570,11 +574,16 @@ int main(int argc, char** argv) {
 
   Counters ctr;
   std::vector<OpHists> hists(cfg.clients);
-  hart::common::Stopwatch sw;
+  std::latch ready(static_cast<std::ptrdiff_t>(cfg.clients));
   std::vector<std::thread> pool;
   for (size_t c = 0; c < cfg.clients; ++c)
-    pool.emplace_back(
-        [&, c] { run_client(*clients[c], cfg, c, logp, &ctr, &hists[c]); });
+    pool.emplace_back([&, c] {
+      run_client(*clients[c], cfg, c, logp, &ctr, &hists[c], &ready);
+    });
+  // The rate covers the measured run only: from the moment every client
+  // finished its set-up until the last one drained.
+  ready.wait();
+  hart::common::Stopwatch sw;
   for (auto& t : pool) t.join();
   const double secs = sw.seconds();
 

@@ -8,10 +8,6 @@
 #   2. clang -Werror=thread-safety
 #                         whole-tree TSA build over src/ (skipped with a
 #                         warning when no clang++ is on PATH)
-#   3. hartlint_clang     AST-precise HL003 checker (skipped with a warning
-#                         unless the optional LibTooling tool was built —
-#                         needs LLVM/Clang dev headers, see
-#                         tools/hartlint/clang/CMakeLists.txt)
 #
 # Usage: run.sh [BUILD_DIR]        (default BUILD_DIR: build)
 # Exit: non-zero iff a layer that DID run found a violation.
@@ -52,16 +48,6 @@ if command -v clang++ >/dev/null 2>&1; then
 else
   warn "clang++ not on PATH — -Werror=thread-safety build skipped" \
        "(CI runs it in the clang-thread-safety job)"
-fi
-
-# ---- 3. AST-precise checker (optional LibTooling tool) --------------------
-HARTLINT_CLANG="$BUILD_DIR/tools/hartlint/clang/hartlint_clang"
-if [ -x "$HARTLINT_CLANG" ] && [ -f "$BUILD_DIR/compile_commands.json" ]; then
-  "$HARTLINT_CLANG" -p "$BUILD_DIR" $(git -C "$REPO_ROOT" ls-files 'src/*.cc') \
-      || status=1
-else
-  warn "hartlint_clang not built (needs LLVM/Clang dev headers;" \
-       "configure with -DHART_BUILD_HARTLINT_CLANG=ON) — AST pass skipped"
 fi
 
 if [ "$status" -eq 0 ]; then

@@ -235,7 +235,7 @@ else
   echo "   stitched trace present (python3 unavailable, shallow check)"
 fi
 
-echo "== phase 6: --seconds starts after the preload"
+echo "== phase 6: --seconds and the printed rate start after the preload"
 # 40k synchronous preload puts take several times the 0.05 s run.
 "$LOADGEN" --inproc --clients 1 --mix read-intensive --preload 40000 \
            --seconds 0.05 > "$DIR/loadgen_timed.out"
@@ -247,5 +247,19 @@ if [ "${RAN:-0}" -eq 0 ]; then
   exit 1
 fi
 echo "   $RAN ops ran after a 40k-key preload"
+# The printed rate divides by the measured run alone: its elapsed time is
+# the 0.05 s run plus the pipeline drain, never the preload. SLACK covers
+# the drain and scheduling noise on a loaded host.
+SLACK=0.2
+SECS=$(grep -oE 'errors in [0-9.]+s' "$DIR/loadgen_timed.out" | head -1 |
+       grep -oE '[0-9.]+')
+if ! awk -v s="${SECS:-999}" -v slack="$SLACK" \
+       'BEGIN { exit !(s <= 0.05 + slack) }'; then
+  echo "FAIL: loadgen reported ${SECS:-?}s for a 0.05 s run" \
+       "(limit 0.05 s + ${SLACK} s): the rate includes the set-up"
+  cat "$DIR/loadgen_timed.out"
+  exit 1
+fi
+echo "   elapsed ${SECS}s <= 0.05 s run + ${SLACK} s slack"
 
 echo "PASS: stats/trace smoke OK"

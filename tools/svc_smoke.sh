@@ -2,8 +2,8 @@
 # svc_smoke.sh HARTD_BIN LOADGEN_BIN [SECONDS] [EXTRA_FLAGS]
 #
 # EXTRA_FLAGS (word-split) are passed to every hartd invocation; ctest's
-# svc_smoke_legacy_alloc leg uses this to run the same SIGKILL/restart
-# contract under --legacy-alloc.
+# svc_smoke_eager_meta leg uses this to run the same SIGKILL/restart
+# contract under --eager-meta.
 #
 # The hartd SIGKILL/restart smoke: start the server with file-backed
 # arenas, drive it over TCP loopback for SECONDS seconds while recording
