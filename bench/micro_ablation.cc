@@ -11,7 +11,6 @@
 #include <chrono>
 
 #include "art/dram_index.h"
-#include "art/simd.h"
 #include "bench/bench_common.h"
 #include "common/bloom.h"
 #include "common/histogram.h"
@@ -285,7 +284,7 @@ void BM_CostOfPersistence(benchmark::State& state) {
 }
 BENCHMARK(BM_CostOfPersistence)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
 
-// --- read fast-path ablation: SIMD x fingerprints x Bloom --------------------
+// --- read fast-path ablation: fingerprints x Bloom --------------------------
 
 pmem::Arena::Options ablation_arena(size_t mb = 1024) {
   // The read fast paths are about skipping PM reads, so the grid runs at
@@ -306,14 +305,14 @@ inline uint64_t now_ns() {
 }
 
 void BM_ReadPathAblation(benchmark::State& state) {
-  // Full 2^3 layer grid x {hit-heavy, miss-heavy}. Each layer is toggled
-  // independently: SIMD via the runtime kill-switch, fingerprints via
-  // Hart::Options, the Bloom front via an explicit dispatcher-style probe
-  // before each search (what Hartd::serve_get does).
-  const bool simd_on = state.range(0) != 0;
-  const bool fp_on = state.range(1) != 0;
-  const bool bloom_on = state.range(2) != 0;
-  const bool miss_heavy = state.range(3) != 0;
+  // 2x2 layer grid x {hit-heavy, miss-heavy}. Each layer is toggled
+  // independently: fingerprints via Hart::Options, the Bloom front via an
+  // explicit dispatcher-style probe before each search (what
+  // Hartd::serve_get does). The SIMD in-node search is not an axis: it is
+  // the only x86-64 descent (EXPERIMENTS.md, read-path ablation).
+  const bool fp_on = state.range(0) != 0;
+  const bool bloom_on = state.range(1) != 0;
+  const bool miss_heavy = state.range(2) != 0;
 
   constexpr size_t kLive = 100000;
   const auto pool = workload::make_random(2 * kLive, 23);
@@ -328,7 +327,6 @@ void BM_ReadPathAblation(benchmark::State& state) {
     bloom.add(pool[i]);
   }
 
-  art::simd::set_enabled(simd_on);
   common::LatencyHistogram hist;
   std::string v;
   size_t i = 0;
@@ -345,19 +343,17 @@ void BM_ReadPathAblation(benchmark::State& state) {
     hist.record(now_ns() - t0);
     i = (i + 7919) % kLive;
   }
-  art::simd::set_enabled(true);
 
   if (!miss_heavy && found == 0) state.SkipWithError("no hits");
   const auto p = hist.percentiles();
   state.counters["p50_ns"] = static_cast<double>(p.p50_ns);
   state.counters["p99_ns"] = static_cast<double>(p.p99_ns);
-  state.SetLabel(std::string(simd_on ? "simd" : "scalar") +
-                 (fp_on ? "+fp" : "") + (bloom_on ? "+bloom" : "") +
-                 (miss_heavy ? "/miss" : "/hit"));
+  state.SetLabel(std::string(fp_on ? "fp" : "baseline") +
+                 (bloom_on ? "+bloom" : "") + (miss_heavy ? "/miss" : "/hit"));
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ReadPathAblation)
-    ->ArgsProduct({{0, 1}, {0, 1}, {0, 1}, {0, 1}});
+    ->ArgsProduct({{0, 1}, {0, 1}, {0, 1}});
 
 void BM_FastPathInsertOverhead(benchmark::State& state) {
   // The acceptance gate for the read layers: inserts must not pay for

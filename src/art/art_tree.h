@@ -431,20 +431,19 @@ class Tree {
         // to plain bytes; asserted below). A torn lane under a concurrent
         // writer yields at worst a wrong slot, exactly like the relaxed
         // scalar loads — the caller's validation catches it either way.
-        if (simd::enabled()) {
-          static_assert(sizeof(p->keys) == 16 &&
-                        sizeof(std::atomic<uint8_t>) == 1);
-          const int i = simd::find_byte16_vec(
-              reinterpret_cast<const uint8_t*>(&p->keys[0]), nc,
-              static_cast<uint8_t>(byte));
-          return i >= 0 ? p->children[i].load(std::memory_order_acquire)
-                        : nullptr;
-        }
-#endif
+        static_assert(sizeof(p->keys) == 16 &&
+                      sizeof(std::atomic<uint8_t>) == 1);
+        const int i = simd::find_byte16_vec(
+            reinterpret_cast<const uint8_t*>(&p->keys[0]), nc,
+            static_cast<uint8_t>(byte));
+        return i >= 0 ? p->children[i].load(std::memory_order_acquire)
+                      : nullptr;
+#else
         for (uint16_t i = 0; i < nc; ++i)
           if (p->keys[i].load(std::memory_order_relaxed) == byte)
             return p->children[i].load(std::memory_order_acquire);
         return nullptr;
+#endif
       }
       case detail::kNode48: {
         const auto* p = static_cast<const Node48*>(n);
@@ -474,17 +473,16 @@ class Tree {
         auto* p = static_cast<Node16*>(n);
         const uint16_t nc = p->num_children.load(std::memory_order_relaxed);
 #if HART_SIMD
-        if (simd::enabled()) {
-          const int i = simd::find_byte16_vec(
-              reinterpret_cast<const uint8_t*>(&p->keys[0]), nc,
-              static_cast<uint8_t>(byte));
-          return i >= 0 ? &p->children[i] : nullptr;
-        }
-#endif
+        const int i = simd::find_byte16_vec(
+            reinterpret_cast<const uint8_t*>(&p->keys[0]), nc,
+            static_cast<uint8_t>(byte));
+        return i >= 0 ? &p->children[i] : nullptr;
+#else
         for (uint16_t i = 0; i < nc; ++i)
           if (p->keys[i].load(std::memory_order_relaxed) == byte)
             return &p->children[i];
         return nullptr;
+#endif
       }
       case detail::kNode48: {
         auto* p = static_cast<Node48*>(n);
@@ -533,27 +531,19 @@ class Tree {
       case detail::kNode48: {
         const auto* p = static_cast<const Node48*>(n);
 #if HART_SIMD
-        // Vector scan for occupied child_index entries; the slot value is
-        // re-loaded atomically once found, so torn-snapshot tolerance is
-        // unchanged from the scalar walk below.
-        if (simd::enabled()) {
-          const auto* idx =
-              reinterpret_cast<const uint8_t*>(&p->child_index[0]);
-          static_assert(sizeof(p->child_index) == 256);
-          for (unsigned b =
-                   simd::next_occupied48_vec(idx, 0, detail::kEmptySlot);
-               b < 256;
-               b = simd::next_occupied48_vec(idx, b + 1, detail::kEmptySlot)) {
-            const uint8_t slot =
-                p->child_index[b].load(std::memory_order_relaxed);
-            if (slot == detail::kEmptySlot || slot >= 48) continue;
-            Node* c = p->children[slot].load(std::memory_order_acquire);
-            if (c != nullptr && !f(b, c)) return false;
-          }
-          return true;
-        }
+        // Vector skip to the next occupied child_index entry; the slot
+        // value is re-loaded atomically below, so torn-snapshot tolerance
+        // is the same as the scalar walk's, which visits every byte.
+        const auto* idx =
+            reinterpret_cast<const uint8_t*>(&p->child_index[0]);
+        static_assert(sizeof(p->child_index) == 256);
+        const auto next = [idx](unsigned b) {
+          return simd::next_occupied48_vec(idx, b, detail::kEmptySlot);
+        };
+#else
+        const auto next = [](unsigned b) { return b; };
 #endif
-        for (uint32_t b = 0; b < 256; ++b) {
+        for (unsigned b = next(0); b < 256; b = next(b + 1)) {
           const uint8_t slot =
               p->child_index[b].load(std::memory_order_relaxed);
           if (slot == detail::kEmptySlot || slot >= 48) continue;

@@ -2,35 +2,28 @@
 //
 // Two operations dominate a radix descent once nodes fan out:
 //
-//   * find_byte16 — locate a key byte in a NODE16's 16-entry key array
+//   * find_byte16_vec — locate a key byte in a NODE16's 16-entry key array
 //     (one _mm_cmpeq_epi8 + movemask instead of a scalar scan);
-//   * next_occupied48 — find the next non-empty entry in a NODE48's
+//   * next_occupied48_vec — find the next non-empty entry in a NODE48's
 //     256-byte child_index (16B SSE2 / 32B AVX2 chunks instead of a
 //     byte-at-a-time walk), used by ordered iteration and range scans.
 //
-// Selection is layered:
+// On x86-64 the vector paths are the only in-node search, with no build
+// option or runtime switch (EXPERIMENTS.md, "Read fast-path ablation", has
+// the A/B against a scalar-only build). A non-x86 target or a
+// ThreadSanitizer build compiles them out (HART_SIMD == 0) and runs the
+// scalar loops in art_tree.h instead. TSAN is excluded because the vector
+// loads read std::atomic<uint8_t> arrays as raw 16/32-byte lanes —
+// bit-identical layout and safe under the seqlock validation protocol, but
+// indistinguishable from a data race to the instrumenter.
+// next_occupied48_vec upgrades from SSE2 (x86-64 baseline) to AVX2 when the
+// host supports it (cached cpuid probe).
 //
-//   compile time  HART_NO_SIMD (CMake option) or a non-x86 target or a
-//                 ThreadSanitizer build compiles the vector paths out
-//                 entirely (HART_SIMD == 0). TSAN is excluded because the
-//                 vector loads read std::atomic<uint8_t> arrays as raw
-//                 16/32-byte lanes — bit-identical layout and safe under
-//                 the seqlock validation protocol, but indistinguishable
-//                 from a data race to the instrumenter.
-//   run time      set_enabled(false) flips every dispatching call site
-//                 back to the scalar loop without a rebuild — this is what
-//                 bench/micro_ablation uses to isolate the SIMD layer.
-//   CPU dispatch  next_occupied48 upgrades from SSE2 (x86-64 baseline) to
-//                 AVX2 when the host supports it (cached cpuid probe).
-//
-// The scalar reference implementations are always compiled so the
-// differential tests can compare vector vs scalar on any build.
+// The scalar references are always compiled so the differential tests can
+// compare vector vs scalar on any build.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-
-#include "obs/counters.h"
 
 #if defined(__has_feature)
 #if __has_feature(thread_sanitizer)
@@ -41,8 +34,7 @@
 #define HART_SIMD_TSAN 1
 #endif
 
-#if !defined(HART_NO_SIMD) && !defined(HART_SIMD_TSAN) && \
-    (defined(__SSE2__) || defined(__x86_64__))
+#if !defined(HART_SIMD_TSAN) && (defined(__SSE2__) || defined(__x86_64__))
 #define HART_SIMD 1
 #else
 #define HART_SIMD 0
@@ -53,31 +45,6 @@
 #endif
 
 namespace hart::art::simd {
-
-namespace detail {
-inline std::atomic<bool>& runtime_flag() {
-  static std::atomic<bool> on{true};
-  return on;
-}
-/// HARTscope: vectorized in-node compares issued (one per 16/32-byte lane
-/// scan). Zero when compiled out or runtime-disabled.
-inline obs::Counter& cmp_counter() {
-  static obs::Counter& c =
-      obs::Registry::instance().counter("art_simd_cmp_total");
-  return c;
-}
-}  // namespace detail
-
-/// True iff the vector paths exist in this binary.
-constexpr bool compiled() { return HART_SIMD != 0; }
-
-/// Runtime kill switch (ablation / diagnostics); defaults to on.
-inline bool enabled() {
-  return compiled() && detail::runtime_flag().load(std::memory_order_relaxed);
-}
-inline void set_enabled(bool on) {
-  detail::runtime_flag().store(on, std::memory_order_relaxed);
-}
 
 // ---- scalar references (always available) -------------------------------
 /// Index of `byte` within keys[0, min(count,16)), or -1.
@@ -110,7 +77,6 @@ inline bool avx2_available() {
 /// masked off, so garbage beyond num_children cannot match.
 inline int find_byte16_vec(const uint8_t* keys, unsigned count,
                            uint8_t byte) {
-  detail::cmp_counter().inc();
   const __m128i probe = _mm_set1_epi8(static_cast<char>(byte));
   const __m128i lane =
       _mm_loadu_si128(reinterpret_cast<const __m128i*>(keys));
@@ -154,28 +120,10 @@ __attribute__((target("avx2"))) inline unsigned next_occupied48_avx2(
 
 inline unsigned next_occupied48_vec(const uint8_t* idx, unsigned start,
                                     uint8_t empty) {
-  detail::cmp_counter().inc();
   return avx2_available() ? next_occupied48_avx2(idx, start, empty)
                           : next_occupied48_sse2(idx, start, empty);
 }
 
 #endif  // HART_SIMD
-
-// ---- dispatching fronts (tests / cold callers; hot paths call *_vec
-// behind their own enabled() check to keep the scalar fallback inline) ----
-inline int find_byte16(const uint8_t* keys, unsigned count, uint8_t byte) {
-#if HART_SIMD
-  if (enabled()) return find_byte16_vec(keys, count, byte);
-#endif
-  return find_byte16_scalar(keys, count, byte);
-}
-
-inline unsigned next_occupied48(const uint8_t* idx, unsigned start,
-                                uint8_t empty) {
-#if HART_SIMD
-  if (enabled()) return next_occupied48_vec(idx, start, empty);
-#endif
-  return next_occupied48_scalar(idx, start, empty);
-}
 
 }  // namespace hart::art::simd

@@ -105,6 +105,7 @@ void Replicator::on_batch(size_t shard_index, server::DurableBatch&& batch) {
   // share the batch's epoch. Deferred acks ride on the LAST chunk's seq:
   // follower-side ordered ack release means confirming it implies every
   // earlier chunk is durable there too.
+  uint64_t first_seq = 0;
   uint64_t last_seq = 0;
   std::vector<server::ReplEntry> chunk;
   size_t bytes = server::kReplBatchFixed;
@@ -113,6 +114,7 @@ void Replicator::on_batch(size_t shard_index, server::DurableBatch&& batch) {
     if (!chunk.empty() && (bytes + sz > kWireBudget ||
                            chunk.size() == server::kMaxBatchEntries)) {
       last_seq = log_.append(stream, batch.epoch, std::move(chunk));
+      if (first_seq == 0) first_seq = last_seq;
       chunk.clear();
       bytes = server::kReplBatchFixed;
     }
@@ -120,6 +122,7 @@ void Replicator::on_batch(size_t shard_index, server::DurableBatch&& batch) {
     bytes += sz;
   }
   if (!chunk.empty()) last_seq = log_.append(stream, batch.epoch, std::move(chunk));
+  if (first_seq == 0) first_seq = last_seq;
 
   std::vector<server::DurableBatch::DeferredAck> fire_now;
   {
@@ -129,9 +132,16 @@ void Replicator::on_batch(size_t shard_index, server::DurableBatch&& batch) {
         // Shutdown raced in, local policy slipped a deferral through, or
         // an empty batch: never park acks that nothing will release.
         fire_now = std::move(batch.deferred);
+      } else if (first_seq < log_.base_seq(stream)) {
+        // The batch outgrew the retained log while it was appended, so a
+        // link may already have jumped over its first chunk: fail its acks
+        // like the link-side gap path does.
+        for (auto& a : batch.deferred)
+          a.resp.status = server::Status::kShardFailed;
+        fire_now = std::move(batch.deferred);
       } else {
         pending_[stream].push_back(
-            {last_seq, mono_ns(), std::move(batch.deferred)});
+            {last_seq, first_seq, mono_ns(), std::move(batch.deferred)});
         // The link thread may have shipped this seq (log_.append happens
         // before mu_ is taken) and the confirm may already be in — and no
         // later confirm is guaranteed to arrive on this stream. Release
@@ -336,6 +346,7 @@ void Replicator::link_loop(Link* l) {
     // Collect-under-lock, send-unlocked: encode the next window of
     // records while holding mu_, then push bytes with no lock held.
     std::vector<std::pair<uint64_t, server::Request>> to_send;
+    std::vector<server::DurableBatch::DeferredAck> skipped;
     {
       common::MutexLock lk(mu_);
       for (uint32_t s = 0;
@@ -358,6 +369,20 @@ void Replicator::link_loop(Link* l) {
                        static_cast<unsigned long long>(recs.front().seq),
                        static_cast<unsigned long long>(log_.tail_seq(s)),
                        static_cast<unsigned long long>(l->sent[s]));
+          // Quorum: a later confirm from this follower must not count for
+          // a batch it never received, so fail (never release) the parked
+          // acks of every batch with a chunk the jump skips. Failing an
+          // ack is always safe; the shard worker parks each batch before
+          // its stream's next append, so none can be parked later.
+          auto& dq = pending_[s];
+          while (needed_ != 0 && !dq.empty() &&
+                 dq.front().first_seq < recs.front().seq) {
+            for (auto& a : dq.front().acks) {
+              a.resp.status = server::Status::kShardFailed;
+              skipped.push_back(std::move(a));
+            }
+            dq.pop_front();
+          }
         }
         for (BatchLog::Record& r : recs) {
           server::Request req;
@@ -381,12 +406,15 @@ void Replicator::link_loop(Link* l) {
           to_send.emplace_back(id, std::move(req));
         }
       }
-      if (to_send.empty()) {
+      if (to_send.empty() && skipped.empty()) {
         if (stop_.load(std::memory_order_acquire)) return;
         if (l->session->connected() && l->synced)
           work_cv_.wait_for(mu_, std::chrono::milliseconds(200));
         continue;
       }
+    }
+    for (auto& a : skipped) {
+      if (a.ack) a.ack(std::move(a.resp));
     }
     for (auto& [id, req] : to_send) {
       if (!l->session->send(id, req)) break;  // reconnect next iteration

@@ -179,6 +179,7 @@ class Replicator {
   common::CondVar state_cv_;  // drain() and handshake waiters
   struct PendingAcks {
     uint64_t seq = 0;  // last wire-batch seq of the durable batch
+    uint64_t first_seq = 0;  // its first wire-batch seq (gap check)
     uint64_t park_ns = 0;  // when the acks were parked (quorum-wait start)
     std::vector<server::DurableBatch::DeferredAck> acks;
   };

@@ -88,8 +88,6 @@ FlagParse parse_server_flag(int argc, char** argv, int* i,
       *err = "--latency wants W/R nanoseconds, e.g. 300/100";
       return FlagParse::kError;
     }
-  } else if (a == "--spin-latency") {
-    opts->defer_latency = false;
   } else if (a == "--bloom-bits-per-key") {
     if (!c.u64(&n)) return FlagParse::kError;
     opts->bloom_bits_per_key = n;
@@ -230,9 +228,8 @@ std::string usage_text(const char* argv0) {
       "  --arena-dir D   file-backed shard arenas in D (relative paths\n"
       "                  resolve under $HART_ARENA_DIR); omit = in-memory\n"
       "  --arena-mb N    per-shard arena MiB (default $HART_ARENA_MB or 256)\n"
-      "  --latency W/R   PM write/read latency ns (e.g. 300/100; default off)\n"
-      "  --spin-latency  busy-wait injected latency inside each persist\n"
-      "                  (default: bank it, pay per batch with a sleep)\n"
+      "  --latency W/R   PM write/read latency ns (e.g. 300/100; default off),\n"
+      "                  banked and paid once per batch with a sleep\n"
       "  --eager-meta    ablation: persist every chunk-header change at the\n"
       "                  op instead of batching them onto the epoch fence\n"
       "  --bloom-bits-per-key N  per-shard counting Bloom filter in front\n"
@@ -291,12 +288,9 @@ std::string dump_config(const Config& cfg) {
   kv("latency",
      std::to_string(o.latency.pm_write_ns) + "/" +
          std::to_string(o.latency.pm_read_ns) + " ns");
-  onoff("defer_latency", o.defer_latency);
   onoff("alloc_batched_meta", o.hart.batched_meta);
   num("bloom_bits_per_key", o.bloom_bits_per_key);
-  num("bloom_expected_keys", o.bloom_expected_keys);
   onoff("rwlock_reads", o.hart.rwlock_reads);
-  onoff("fastpath_reads", o.fastpath_reads);
   onoff("check", o.check);
   onoff("follow", o.follow);
   std::string targets;

@@ -80,12 +80,11 @@ Hartd::Hartd(const Options& opts)
         so.batch_size = opts_.batch_size;
         so.queue_capacity = opts_.queue_capacity;
         so.bloom_bits_per_key = opts_.bloom_bits_per_key;
-        so.bloom_expected_keys = opts_.bloom_expected_keys;
         so.slow_op_us = opts_.slow_op_us;
         so.hart = opts_.hart;
         so.arena.size = opts_.arena_mb << 20;  // 0 -> HART_ARENA_MB default
         so.arena.latency = opts_.latency;
-        so.arena.defer_latency = opts_.defer_latency;
+        so.arena.defer_latency = true;
         so.arena.check = opts_.check;
         so.arena.shadow = opts_.shadow;
         if (!opts_.arena_dir.empty())
@@ -107,11 +106,14 @@ Hartd::Hartd(const Options& opts)
   for (auto& e : errs)
     if (e) std::rethrow_exception(e);
 
-  // In rwlock-reads ablation mode a dispatcher-side search would contend
-  // on the partition shared_mutexes the shard worker also takes; the
-  // original queued-read behavior is what the ablation measures, so the
-  // kGet fast path turns itself off.
-  fastpath_gets_ = opts_.fastpath_reads && !opts_.hart.rwlock_reads;
+  // kGet is served on the submitting (dispatcher) thread through HART's
+  // optimistic lock-free read path instead of queueing behind the shard's
+  // writes. In rwlock-reads ablation mode a dispatcher-side search would
+  // contend on the partition shared_mutexes the shard worker also takes;
+  // the original queued-read behavior is what the ablation measures, so
+  // the kGet fast path turns itself off. kMget and kScan are always
+  // dispatcher-served (they span shards).
+  fastpath_gets_ = !opts_.hart.rwlock_reads;
 
   if (opts_.follow) {
     // Replicated writes bypass the role gate (a follower rejects CLIENT

@@ -28,26 +28,17 @@ class Hartd {
     size_t queue_capacity = 4096;
     /// Per-shard arena size in MiB; 0 resolves from HART_ARENA_MB.
     size_t arena_mb = 0;
+    /// Injected PM latency. Shards always bank it and pay it once per
+    /// batch with a sleep in the worker (Arena::Options::defer_latency), so
+    /// shards' device stalls overlap even when workers share cores — the
+    /// behavior of independent PM devices.
     pmem::LatencyConfig latency = pmem::LatencyConfig::off();
-    /// Bank injected PM latency and pay it once per batch with a sleep in
-    /// the shard worker (Arena::Options::defer_latency) instead of
-    /// busy-waiting inside each persist. Default on: shards' device stalls
-    /// then overlap even when workers share cores — the behavior of
-    /// independent PM devices. Turn off to keep the figure benches'
-    /// spin-per-persist device model.
-    bool defer_latency = true;
     bool check = false;   // PMCheck on every shard arena (tests)
     bool shadow = false;  // crash simulation (tests)
     /// Directory for file-backed shard arenas ("<dir>/shard-<i>.arena").
     /// A relative path resolves under $HART_ARENA_DIR (Arena rules).
     /// Empty: anonymous arenas, no restart capability.
     std::string arena_dir;
-    /// Serve kGet on the submitting (dispatcher) thread through HART's
-    /// optimistic lock-free read path instead of queueing it behind the
-    /// shard's writes. Automatically disabled when `hart.rwlock_reads` is
-    /// set — the ablation keeps the original queued-read behavior. kMget
-    /// and kScan are always dispatcher-served (they span shards).
-    bool fastpath_reads = true;
     /// Start as a replication follower: client writes are rejected with
     /// kNotPrimary, REPL_BATCH streams apply through the shard path, and
     /// reads serve stale-tolerant from the lock-free read path. A PROMOTE
@@ -69,8 +60,6 @@ class Hartd {
     /// rebuilt from the recovered keys on restart). 0 = off; 10 is a
     /// reasonable on value (~0.8% false positives).
     size_t bloom_bits_per_key = 0;
-    /// Per-shard key capacity the filter is sized for.
-    size_t bloom_expected_keys = size_t{1} << 20;
     /// Structured slow-op log: any request whose queue->ack-ready time (or
     /// quorum wait) exceeds this many µs logs its stage breakdown to
     /// stderr and bumps hartd_slow_ops_total. 0 = disabled.
@@ -165,7 +154,7 @@ class Hartd {
   std::atomic<uint64_t> fastpath_reads_{0};
   std::atomic<uint64_t> trace_seq_{0};  // dispatcher sampling tick
   uint64_t trace_base_ = 0;  // per-process trace-id salt
-  bool fastpath_gets_ = true;  // opts_.fastpath_reads && !rwlock_reads
+  bool fastpath_gets_ = true;  // !opts_.hart.rwlock_reads
   bool reopened_ = false;
   uint64_t recovery_ms_ = 0;
   uint64_t recovered_keys_ = 0;

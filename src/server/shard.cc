@@ -48,11 +48,13 @@ Shard::Shard(const Options& opts)
       hart_(std::make_unique<core::Hart>(*arena_, opts.hart)),
       queue_(opts.queue_capacity) {
   if (opts.bloom_bits_per_key > 0) {
-    // Rebuild-on-recovery: size for the larger of the configured capacity
-    // and what the (possibly recovered) Hart already holds, then seed the
-    // filter from the live leaf list — all before the worker can serve.
+    // Rebuild-on-recovery: size for the larger of a fixed per-shard
+    // capacity and what the (possibly recovered) Hart already holds, then
+    // seed the filter from the live leaf list — all before the worker can
+    // serve.
+    constexpr size_t kBloomExpectedKeys = size_t{1} << 20;
     bloom_ = std::make_unique<common::CountingBloom>(
-        std::max(opts.bloom_expected_keys, hart_->size()),
+        std::max(kBloomExpectedKeys, hart_->size()),
         opts.bloom_bits_per_key);
     hart_->for_each_key([this](std::string_view k) { bloom_->add(k); });
   }

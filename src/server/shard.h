@@ -128,11 +128,8 @@ class Shard {
     bool defer_write_acks = false;
     /// Counting Bloom filter in front of the Hart for dispatcher-side
     /// negative-lookup short-circuit (0 = off). DRAM cost is about
-    /// expected_keys * bits_per_key / 2 bytes per shard.
+    /// max(2^20, recovered keys) * bits_per_key / 2 bytes per shard.
     size_t bloom_bits_per_key = 0;
-    /// Keys the filter is sized for; grown to the recovered key count when
-    /// an existing arena holds more.
-    size_t bloom_expected_keys = size_t{1} << 20;
     /// Structured slow-op log threshold: a request whose submit->ack-ready
     /// time exceeds this emits one stderr line with its full stage
     /// breakdown (and bumps hartd_slow_ops_total). 0 = disabled.

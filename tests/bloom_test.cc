@@ -82,7 +82,6 @@ TEST(BloomShard, DispatcherShortCircuitsDefinitiveMisses) {
   o.shards = 2;
   o.arena_mb = 32;
   o.bloom_bits_per_key = 10;
-  o.bloom_expected_keys = 4096;
   Hartd db(o);
   for (uint64_t i = 0; i < 500; ++i)
     ASSERT_EQ(db.execute({OpCode::kPut, key_of(i), "v"}).status,
@@ -107,7 +106,6 @@ TEST(BloomShard, DeleteMakesKeyDefinitivelyAbsentAgain) {
   o.shards = 1;
   o.arena_mb = 32;
   o.bloom_bits_per_key = 10;
-  o.bloom_expected_keys = 4096;
   Hartd db(o);
   for (uint64_t i = 0; i < 200; ++i)
     ASSERT_EQ(db.execute({OpCode::kPut, key_of(i), "v"}).status,
@@ -130,7 +128,6 @@ TEST(BloomShard, MgetFiltersPerKey) {
   o.shards = 2;
   o.arena_mb = 32;
   o.bloom_bits_per_key = 10;
-  o.bloom_expected_keys = 4096;
   Hartd db(o);
   for (uint64_t i = 0; i < 50; ++i)
     ASSERT_EQ(db.execute({OpCode::kPut, key_of(i), "v" + std::to_string(i)})
@@ -160,7 +157,6 @@ TEST(BloomShard, RestartRebuildsFilterFromRecoveredKeys) {
   o.arena_mb = 32;
   o.arena_dir = dir;
   o.bloom_bits_per_key = 10;
-  o.bloom_expected_keys = 4096;
   {
     Hartd db(o);
     for (uint64_t i = 0; i < 300; ++i)

@@ -104,8 +104,6 @@ void usage(const char* argv0) {
       "  --shards N --batch N --queue N --arena-dir D --arena-mb N\n"
       "  --latency W/R --bloom-bits-per-key N --rwlock-reads --check\n"
       "  --eager-meta      persist chunk headers per op (ablation)\n"
-      "  --spin-latency    busy-wait injected latency per persist instead\n"
-      "                    of banking it and sleeping once per batch\n"
       "  --help            this text\n",
       argv0);
 }

@@ -3,7 +3,8 @@
 
 Four source rules encode the invariants that Clang's thread safety
 analysis cannot express (TSA reasons about mutexes; HART's correctness
-also rests on epochs, seqlocks and explicit persistence):
+also rests on epochs, seqlocks and explicit persistence), and three more
+catch persistent-memory layout and flush anti-patterns:
 
   HL001 missed-flush            Every annotated PM store
                                 (Arena::trace_store / pm_write) must be
@@ -38,9 +39,18 @@ also rests on epochs, seqlocks and explicit persistence):
                                 Writers (capture followed by .store of the
                                 same word) are exempt.
 
-With --with-pmlint the three pmlint persistence rules (PL001/PL002/PL003,
-see tools/pmlint.py) run over the same file set and report through the
-same channel, so one CI gate covers both rule families.
+  PL001 unpersisted-memcpy      A memcpy/memmove/memset into a pointer
+                                derived from Arena::ptr<>() that never
+                                reaches persist()/trace_store().
+
+  PL002 bad-pm-member           A virtual function or raw-pointer member
+                                in a struct placed in PM.
+
+  PL003 misaligned-persist      A persist() of more than one cache line
+                                from a struct-field address.
+
+The PL rules live in pmlint.py (details there). Every run applies all
+seven rules to the same file set, so one CI gate covers both families.
 
 Findings are suppressed by an auditable annotation on the same or the
 preceding line:
@@ -50,14 +60,14 @@ preceding line:
 The macro (src/common/annotations.h) expands to nothing; the string must
 name the rule being suppressed (or "ALL").
 
-Like pmlint, these are heuristics tuned for zero false positives on this
-tree over completeness. Exit status is the number of findings (0 =
-clean). --expect=RULE inverts the gate for the negative corpus: exit 0
-iff at least one RULE finding and no findings of any other rule.
+These are heuristics tuned for zero false positives on this tree over
+completeness. Exit status is the number of findings (0 = clean).
+--expect=RULE inverts the gate for the negative corpus: exit 0 iff at
+least one RULE finding and no findings of any other rule.
 
 Usage:
-  hartlint.py [--with-pmlint] [--compdb build/compile_commands.json]
-              [--expect=HLxxx] [PATH ...]          (default paths: src/)
+  hartlint.py [--compdb build/compile_commands.json]
+              [--expect=RULE] [PATH ...]           (default paths: src/)
 """
 
 from __future__ import annotations
@@ -66,6 +76,8 @@ import json
 import re
 import sys
 from pathlib import Path
+
+import pmlint
 
 CPP_SUFFIXES = {".cc", ".cpp", ".cxx", ".h", ".hpp"}
 IDENT = r"[A-Za-z_]\w*"
@@ -480,11 +492,8 @@ def collect_files(paths: list[Path], compdb: Path | None) -> list[Path]:
     return out
 
 
-def run_pmlint(files: list[Path], ctxs: dict[Path, FileCtx],
-               findings: list[str]):
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
-    import pmlint  # noqa: E402
-
+def check_pl(files: list[Path], ctxs: dict[Path, FileCtx],
+             findings: list[str]):
     pm_structs = pmlint.collect_pm_structs(files)
     raw: list[str] = []
     for f in files:
@@ -501,14 +510,11 @@ def run_pmlint(files: list[Path], ctxs: dict[Path, FileCtx],
 def main(argv: list[str]) -> int:
     paths: list[Path] = []
     compdb: Path | None = None
-    with_pmlint = False
     list_suppressions = False
     expect: str | None = None
     it = iter(argv[1:])
     for a in it:
-        if a == "--with-pmlint":
-            with_pmlint = True
-        elif a == "--list-suppressions":
+        if a == "--list-suppressions":
             list_suppressions = True
         elif a.startswith("--expect="):
             expect = a.split("=", 1)[1]
@@ -555,8 +561,7 @@ def main(argv: list[str]) -> int:
         check_hl002(ctx, findings)
         check_hl003(ctx, findings, marked, closure)
         check_hl004(ctx, findings)
-    if with_pmlint:
-        run_pmlint(files, ctxs, findings)
+    check_pl(files, ctxs, findings)
 
     for f in sorted(findings):
         print(f)

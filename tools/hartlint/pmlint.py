@@ -1,8 +1,8 @@
-#!/usr/bin/env python3
-"""pmlint — static lint for persistent-memory anti-patterns.
+"""pmlint — hartlint's persistent-memory rules PL001-PL003.
 
 Complements the dynamic PMCheck checker (src/pmcheck/) with three source
-heuristics that do not need the code to run:
+heuristics that do not need the code to run. hartlint.py imports this
+module and runs the rules on every invocation, next to HL001-HL004:
 
   PL001 unpersisted-memcpy   A memcpy/memmove/memset whose destination was
                              obtained from Arena::ptr<T>() in the same
@@ -30,19 +30,13 @@ heuristics that do not need the code to run:
                              object or align the field.
 
 These are heuristics: they favour zero false positives on this tree over
-completeness (see DESIGN.md "PMCheck"). Exit status is the number of
-findings (0 = clean), so it can gate CI directly.
-
-Usage: pmlint.py [PATH ...]   (default: src/)
+completeness (see DESIGN.md "PMCheck").
 """
 
 from __future__ import annotations
 
 import re
-import sys
 from pathlib import Path
-
-CPP_SUFFIXES = {".cc", ".cpp", ".cxx", ".h", ".hpp"}
 
 IDENT = r"[A-Za-z_]\w*"
 
@@ -224,30 +218,3 @@ def collect_pm_structs(files: list[Path]) -> set[str]:
     for f in files:
         out.update(PTR_DEREF_RE.findall(strip_comments(f.read_text(errors="replace"))))
     return out
-
-
-def main(argv: list[str]) -> int:
-    roots = [Path(a) for a in argv[1:]] or [Path("src")]
-    files: list[Path] = []
-    for r in roots:
-        if r.is_file():
-            files.append(r)
-        else:
-            files.extend(p for p in sorted(r.rglob("*")) if p.suffix in CPP_SUFFIXES)
-    if not files:
-        print(f"pmlint: no C++ sources under {' '.join(map(str, roots))}", file=sys.stderr)
-        return 2
-
-    pm_structs = collect_pm_structs(files)
-    findings: list[str] = []
-    for f in files:
-        lint_file(f, pm_structs, findings)
-
-    for f in findings:
-        print(f)
-    print(f"pmlint: {len(findings)} finding(s) in {len(files)} file(s)")
-    return min(len(findings), 125)
-
-
-if __name__ == "__main__":
-    sys.exit(main(sys.argv))

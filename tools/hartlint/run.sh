@@ -3,7 +3,7 @@
 # supports, degrading gracefully (visible warning, not failure) when a
 # layer's dependencies are missing:
 #
-#   1. hartlint.py        heuristic engine, HL001-HL004 + pmlint PL001-PL003
+#   1. hartlint.py        heuristic engine, HL001-HL004 + PL001-PL003
 #                         (always runs; only needs python3)
 #   2. clang -Werror=thread-safety
 #                         whole-tree TSA build over src/ (skipped with a
@@ -23,11 +23,11 @@ warn() { echo "hartlint/run.sh: WARNING: $*" >&2; }
 # ---- 1. heuristic engine (authoritative gate) -----------------------------
 if command -v python3 >/dev/null 2>&1; then
   if [ -f "$BUILD_DIR/compile_commands.json" ]; then
-    python3 tools/hartlint/hartlint.py --with-pmlint \
+    python3 tools/hartlint/hartlint.py \
         --compdb "$BUILD_DIR/compile_commands.json" || status=1
   else
     warn "no compile_commands.json in $BUILD_DIR — linting src/ tests/ bench/ tools/ directly"
-    python3 tools/hartlint/hartlint.py --with-pmlint src tests bench tools/hartlint/goodcase || status=1
+    python3 tools/hartlint/hartlint.py src tests bench tools/hartlint/goodcase || status=1
   fi
 else
   warn "python3 not found — the hartlint heuristic engine DID NOT RUN"

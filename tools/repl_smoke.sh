@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # repl_smoke.sh HARTD_BIN LOADGEN_BIN [SECONDS]
 #
-# The hartrepl failover smoke (DESIGN.md §9). Two phases:
+# The hartrepl failover smoke (DESIGN.md §9). Three phases:
 #
 #  phase 1 — quorum ack policy, primary SIGKILL:
 #    start a follower and a primary replicating to it with
@@ -18,9 +18,19 @@
 #    shutdown drains the replication tail), promote, replay. Local policy
 #    only guarantees durability across a *graceful* exit.
 #
-#  Both phases first run a warm-up burst and require the replication-lag
-#  health gauges (hartd_repl_lag_seq / _lag_bytes / _last_confirm_age_ms)
-#  to converge to zero on both roles before the killed burst starts.
+#  phase 3 — quorum acks across a replication-log gap:
+#    the primary retains only 2 wire batches per stream with a window of
+#    1 (--repl-log 2 --repl-window 1). The follower is SIGSTOPped for
+#    2.5 s mid-burst, so the bounded log evicts batches it never got and
+#    its link jumps the gap on SIGCONT. Then the primary is SIGKILLed and
+#    the follower promoted: every quorum-acked key must still be there
+#    (acks of skipped batches are failed, never released by a later
+#    confirm), and the primary's log must show the gap was reached.
+#
+#  Phases 1 and 2 first run a warm-up burst and require the
+#  replication-lag health gauges (hartd_repl_lag_seq / _lag_bytes /
+#  _last_confirm_age_ms) to converge to zero on both roles before the
+#  killed burst starts.
 #
 # Run by ctest (repl_smoke, 2 s) and by the CI repl-smoke job (5 s).
 set -euo pipefail
@@ -61,11 +71,11 @@ start_follower() { # $1 = phase tag
   FPORT=$(cat "$DIR/fport")
 }
 
-start_primary() { # $1 = ack policy, $2 = phase tag
+start_primary() { # $1 = ack policy, $2 = phase tag, $3... = extra flags
   rm -f "$DIR/pport"
   "$HARTD" --port 0 --port-file "$DIR/pport" --shards 4 --batch 32 \
            --arena-mb 64 --replicate-to "127.0.0.1:$FPORT" \
-           --ack-policy "$1" > "$DIR/primary-$2.log" 2>&1 &
+           --ack-policy "$1" "${@:3}" > "$DIR/primary-$2.log" 2>&1 &
   PRI=$!
   wait_port "$DIR/pport" "$PRI" primary
   PPORT=$(cat "$DIR/pport")
@@ -166,4 +176,42 @@ echo "== phase 1: quorum acks, SIGKILL primary mid-burst, promote, verify"
 run_phase quorum KILL q
 echo "== phase 2: local acks, graceful SIGTERM handover, promote, verify"
 run_phase local TERM l
-echo "PASS: failover preserved every acked write under both ack policies"
+
+echo "== phase 3: quorum acks across a log gap (--repl-log 2), SIGSTOP" \
+     "follower, SIGKILL primary, promote, verify"
+start_follower g
+start_primary quorum g --repl-log 2 --repl-window 1
+echo "   follower :$FPORT  primary :$PPORT  (ack-policy quorum, log 2)"
+"$LOADGEN" --port "$PPORT" --clients 4 --seconds "$((SECS + 4))" \
+           --mix insert --pipeline 32 --acked-log "$DIR/acked-g.log" &
+LG=$!
+sleep 0.5
+kill -STOP "$FOL"
+sleep 2.5
+kill -CONT "$FOL"
+sleep "$SECS"
+kill -KILL "$PRI"
+wait "$PRI" 2>/dev/null || true
+PRI=
+wait "$LG" || true
+LG=
+ACKED=$(wc -l < "$DIR/acked-g.log")
+if ! grep -q "bounded log overrun" "$DIR/primary-g.log"; then
+  echo "FAIL: the follower's link never hit a log gap — the phase did" \
+       "not reach the retention boundary"
+  exit 1
+fi
+echo "   $ACKED acked inserts at SIGKILL; the follower's link jumped a gap"
+if ! "$LOADGEN" --port "$FPORT" --promote; then
+  echo "FAIL: promote failed"
+  exit 1
+fi
+if ! "$LOADGEN" --port "$FPORT" --verify-acked "$DIR/acked-g.log"; then
+  echo "FAIL: quorum-acked writes lost across the replication-log gap"
+  exit 1
+fi
+kill -TERM "$FOL"
+wait "$FOL" 2>/dev/null || true
+FOL=
+echo "PASS: failover preserved every acked write under both ack policies" \
+     "and across a replication-log gap"
